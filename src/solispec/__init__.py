@@ -14,14 +14,13 @@ __version__ = "0.1.0"
 from .errors import (ConditioningError, ConfigurationError, DomainError,
                      ExtrapolationError, GridMismatchError, GroundStateError,
                      HypothesisError, SingularityError, SolispecError)
-from .nonlinearity import Nonlinearity, eval_triple
+from .nonlinearity import Nonlinearity
 from .ground_state import (FarFieldFit, GroundState, far_field_fit,
                            first_integral_residual, solve_ground_state)
 from .linearized_operator import (EigenPair, GridField2, PotentialMatrix,
-                                  apply_H, apply_H_potential, apply_L,
-                                  apply_L_potential, assemble_matrix,
-                                  decoupled_well_potential, discrete_eigenvalues,
-                                  potential_V, potential_entries, swap_components)
+                                  apply_H_potential, apply_L_potential,
+                                  assemble_matrix, decoupled_well_potential,
+                                  discrete_eigenvalues, potential_V, potential_entries)
 from .jost import (AsymptoticMode, JostSolution, ModeExpansion, asymptotic_modes,
                    decaying_solution, default_window, expand_in_modes,
                    integrate_from_mode, wronskian)
@@ -35,13 +34,12 @@ __all__ = [
     "SolispecError", "DomainError", "ExtrapolationError", "GridMismatchError",
     "SingularityError", "ConditioningError", "HypothesisError",
     "GroundStateError", "ConfigurationError",
-    "Nonlinearity", "eval_triple",
+    "Nonlinearity",
     "GroundState", "FarFieldFit", "solve_ground_state", "far_field_fit",
     "first_integral_residual",
     "PotentialMatrix", "GridField2", "EigenPair", "potential_V",
-    "potential_entries", "decoupled_well_potential", "apply_H",
-    "apply_H_potential", "apply_L", "apply_L_potential", "assemble_matrix",
-    "swap_components", "discrete_eigenvalues",
+    "potential_entries", "decoupled_well_potential", "apply_H_potential",
+    "apply_L_potential", "assemble_matrix", "discrete_eigenvalues",
     "AsymptoticMode", "JostSolution", "ModeExpansion", "asymptotic_modes",
     "decaying_solution", "integrate_from_mode", "expand_in_modes",
     "default_window", "wronskian",

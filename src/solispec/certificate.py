@@ -32,20 +32,20 @@ mismatch dips to numerical noise, demonstrating the detector is not vacuous.
 
 from __future__ import annotations
 
-import datetime as _dt
 import json
 import math
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 from scipy.optimize import brentq
 
 from . import __version__ as _tool_version
-from .errors import ConfigurationError, DomainError, SolispecError
+from .errors import ConfigurationError, DomainError, HypothesisError, SolispecError
 from .ground_state import GroundState
 from .jost import (CERT_SWEEP_RTOL, JostSolution, at_threshold, default_window,
-                   expand_in_modes, _sweep_decaying)
+                   expand_in_modes, in_gap, _sweep_decaying)
 from .linearized_operator import PotentialMatrix, decoupled_well_potential, potential_V
 from .nonlinearity import Nonlinearity
 
@@ -54,6 +54,13 @@ VERDICT_CANDIDATE = "embedded-candidate"
 VERDICT_INCONCLUSIVE = "inconclusive"
 
 SCHEMA_VERSION = 1
+
+
+def report_header(config_hash: str | None) -> dict:
+    """Schema version, tool identity and config hash heading every report and sidecar."""
+    return {"schema_version": SCHEMA_VERSION,
+            "tool": {"name": "solispec", "version": _tool_version},
+            "config_hash": config_hash}
 
 
 @dataclass(frozen=True)
@@ -65,8 +72,7 @@ class Thresholds:
     threshold_relax: float = 0.1     # extra slack exactly at |lambda| = mu
 
     def to_dict(self) -> dict:
-        return {"theta_cert": self.theta_cert, "theta_mismatch": self.theta_mismatch,
-                "threshold_relax": self.threshold_relax}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -87,15 +93,9 @@ class CertificateRecord:
     error: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "lambda": self.lam, "v0": self.v0, "v0p": self.v0p,
-            "v0_norm": self.v0_norm, "v0p_norm": self.v0p_norm,
-            "u_positive": self.u_positive, "v_signed": self.v_signed,
-            "mismatch": self.mismatch, "c_grow_signed": self.c_grow_signed,
-            "fit_residual": self.fit_residual, "verdict": self.verdict,
-            "at_threshold": self.at_threshold, "method": self.method,
-            "error": self.error,
-        }
+        out = asdict(self)
+        out["lambda"] = out.pop("lam")
+        return out
 
 
 def _error_record(lam: float, msg: str) -> CertificateRecord:
@@ -186,15 +186,8 @@ def _certify_potential(pm: PotentialMatrix, lam: float,
                        method: str = "reflect") -> CertificateRecord:
     """Core certificate at one energy on a prebuilt potential."""
     th = thresholds or Thresholds()
-    mu = pm.mu
-    if abs(lam) < mu * (1.0 - 1e-12):
-        raise DomainError(f"|lambda| = {abs(lam)} lies inside the spectral gap (-{mu}, {mu})")
-    if lam >= 0 or method == "direct":
-        sol = _sweep_decaying(pm, lam, rtol=CERT_SWEEP_RTOL)
-        flip = False
-    else:
-        sol = _sweep_decaying(pm, -lam, rtol=CERT_SWEEP_RTOL)
-        flip = True
+    flip = lam < 0 and method != "direct"
+    sol = _sweep_decaying(pm, -lam if flip else lam, rtol=CERT_SWEEP_RTOL)
     method_name = "direct" if (lam < 0 and method == "direct") else "reflect"
     return _score_solution(pm, sol, lam, th, flip, method_name)
 
@@ -232,27 +225,21 @@ class ScanReport:
     ground_meta: dict
     nonlinearity_meta: dict
     thresholds: Thresholds
-    tool_version: str = _tool_version
     config_hash: str | None = None
-    timestamp: str | None = field(default=None)
+    timestamp: str | None = None
 
     def summary(self) -> dict:
         ok = [r for r in self.records if r.error is None]
-        verdicts = {}
-        for r in self.records:
-            verdicts[r.verdict] = verdicts.get(r.verdict, 0) + 1
         return {
             "n_records": len(self.records),
-            "verdict_counts": verdicts,
+            "verdict_counts": dict(Counter(r.verdict for r in self.records)),
             "min_v0_norm": min((min(r.v0_norm, r.v0p_norm) for r in ok), default=float("nan")),
             "min_mismatch": min((r.mismatch for r in ok), default=float("nan")),
         }
 
-    def to_json_dict(self, include_timestamp: bool = False) -> dict:
+    def to_json_dict(self) -> dict:
         return {
-            "schema_version": SCHEMA_VERSION,
-            "tool": {"name": "solispec", "version": self.tool_version},
-            "config_hash": self.config_hash,
+            **report_header(self.config_hash),
             "mu": self.mu,
             "ground_state": self.ground_meta,
             "nonlinearity": self.nonlinearity_meta,
@@ -260,11 +247,11 @@ class ScanReport:
             "lambda_grid": {"values": list(self.lambdas)},
             "records": [r.to_dict() for r in self.records],
             "summary": self.summary(),
-            "timestamp": self.timestamp if include_timestamp else None,
+            "timestamp": self.timestamp,
         }
 
-    def to_json(self, include_timestamp: bool = False) -> str:
-        return json.dumps(self.to_json_dict(include_timestamp), indent=2, sort_keys=True)
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
     def csv_rows(self):
         yield ("lambda", "v0", "v0p", "mismatch", "verdict")
@@ -286,14 +273,14 @@ def _ground_meta(gs: GroundState) -> dict:
             "first_integral_max": gs.first_integral_max}
 
 
-def scan_embedded(gs: GroundState, nl: Nonlinearity, lambdas,
-                  thresholds: Thresholds | None = None,
-                  workers: int = 1) -> ScanReport:
-    """Certify every energy of a strictly increasing grid in the essential spectrum.
+def _scan(pm: PotentialMatrix, lambdas, thresholds: Thresholds | None, workers: int,
+          ground_meta: dict, nonlinearity_meta: dict) -> ScanReport:
+    """Certify every energy of a grid on a prebuilt potential.
 
-    Per-energy failures become inconclusive records instead of aborting the
-    scan. Records come back sorted by energy regardless of worker count, so
-    reports are deterministic.
+    The grid must be non-empty, strictly increasing and outside the
+    spectral gap. Per-energy failures become inconclusive records instead
+    of aborting the scan. Records come back sorted by energy regardless of
+    worker count, so reports are deterministic.
     """
     th = thresholds or Thresholds()
     lams = [float(v) for v in np.asarray(lambdas, dtype=float)]
@@ -301,22 +288,27 @@ def scan_embedded(gs: GroundState, nl: Nonlinearity, lambdas,
         raise ConfigurationError("empty lambda grid")
     if np.any(np.diff(lams) <= 0):
         raise ConfigurationError("lambda grid must be strictly increasing")
-    mu = gs.mu
+    mu = pm.mu
     for lam in lams:
-        if abs(lam) < mu * (1.0 - 1e-12):
+        if in_gap(lam, mu):
             raise ConfigurationError(
                 f"lambda = {lam} lies inside the spectral gap (-{mu}, {mu})")
-    pm = potential_V(gs, nl)
     jobs = [(pm, lam, th) for lam in lams]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_scan_one, jobs, chunksize=max(1, len(jobs) // (4 * workers))))
     else:
         records = [_scan_one(j) for j in jobs]
-    return ScanReport(mu=mu, lambdas=lams, records=records,
-                      ground_meta=_ground_meta(gs),
-                      nonlinearity_meta=nl.to_config(), thresholds=th,
-                      timestamp=_dt.datetime.now(_dt.timezone.utc).isoformat())
+    return ScanReport(mu=mu, lambdas=lams, records=records, ground_meta=ground_meta,
+                      nonlinearity_meta=nonlinearity_meta, thresholds=th)
+
+
+def scan_embedded(gs: GroundState, nl: Nonlinearity, lambdas,
+                  thresholds: Thresholds | None = None,
+                  workers: int = 1) -> ScanReport:
+    """Certify every energy of a strictly increasing grid in the essential spectrum."""
+    return _scan(potential_V(gs, nl), lambdas, thresholds, workers,
+                 _ground_meta(gs), nl.to_config())
 
 
 def sech_well_levels(mu: float, depth: float) -> list[float]:
@@ -343,20 +335,10 @@ def control_scan(mu: float, well_depth: float, lambdas,
                  R: float | None = None, h: float | None = None,
                  thresholds: Thresholds | None = None) -> ScanReport:
     """Run the certificate machinery on the decoupled sech^2-well operator."""
-    th = thresholds or Thresholds()
     pm = decoupled_well_potential(mu, well_depth, R=R, h=h)
-    lams = [float(v) for v in np.asarray(lambdas, dtype=float)]
-    if len(lams) == 0:
-        raise ConfigurationError("empty lambda grid")
-    if np.any(np.diff(lams) <= 0):
-        raise ConfigurationError("lambda grid must be strictly increasing")
-    records = [_scan_one((pm, lam, th)) for lam in lams]
-    return ScanReport(mu=mu, lambdas=lams, records=records,
-                      ground_meta={"mu": mu, "R": pm.R, "h": pm.h,
-                                   "potential": pm.provenance},
-                      nonlinearity_meta={"family": "none (decoupled control)"},
-                      thresholds=th,
-                      timestamp=_dt.datetime.now(_dt.timezone.utc).isoformat())
+    return _scan(pm, lambdas, thresholds, 1,
+                 {"mu": mu, "R": pm.R, "h": pm.h, "potential": pm.provenance},
+                 {"family": "none (decoupled control)"})
 
 
 def negative_control(mu: float, well_depth: float,
@@ -368,7 +350,9 @@ def negative_control(mu: float, well_depth: float,
     coefficient, refines the root by bisection, and returns the certificate
     there; its verdict must be embedded-candidate. Raises ConfigurationError
     when the well is too shallow to push a bound state into the essential
-    spectrum (the closed form requires depth >= sqrt(2 mu) (sqrt(2 mu)+1)).
+    spectrum (the closed form requires depth >= sqrt(2 mu) (sqrt(2 mu)+1)),
+    and HypothesisError when no sign change is found near the predicted
+    level, i.e. when detection fails.
     """
     th = thresholds or Thresholds()
     levels = sech_well_levels(mu, well_depth)
@@ -393,7 +377,7 @@ def negative_control(mu: float, well_depth: float,
             bracket = (grid[i], grid[i + 1])
             break
     if bracket is None:
-        raise ConfigurationError(
+        raise HypothesisError(
             f"no sign change of the growing-mode coefficient near the predicted "
             f"embedded energy {lam0:.4f}; control detection failed")
     lam_star = brentq(grow_coeff, *bracket, xtol=1e-10, rtol=1e-15)

@@ -12,14 +12,16 @@ from __future__ import annotations
 
 import argparse
 import csv
+import datetime as _dt
+import itertools
 import json
 import sys
 
 import numpy as np
 
 from . import __version__
-from .certificate import (Thresholds, control_scan, negative_control,
-                          scan_embedded, sech_well_levels)
+from .certificate import (Thresholds, _ground_meta, control_scan, negative_control,
+                          report_header, scan_embedded, sech_well_levels)
 from .config import RunConfig, print_defaults
 from .errors import ConfigurationError, HypothesisError, SolispecError
 from .ground_state import solve_ground_state
@@ -38,19 +40,24 @@ def _json_dump(path: str, obj: dict):
         raise ConfigurationError(f"cannot write {path}: {exc}") from exc
 
 
-def _csv_dump(path: str, header, rows):
+def _csv_dump(path: str, rows):
+    """CSV file from an iterable of rows, header row first."""
     try:
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
+            csv.writer(fh).writerows(rows)
     except OSError as exc:
         raise ConfigurationError(f"cannot write {path}: {exc}") from exc
 
 
-def _stamp(cfg: RunConfig) -> dict:
-    return {"schema_version": 1, "tool": {"name": "solispec", "version": __version__},
-            "config_hash": cfg.config_hash()}
+def _sidecar_path(out: str) -> str:
+    return (out[:-4] if out.endswith(".csv") else out) + ".json"
+
+
+def _write_samples(out: str, cfg: RunConfig, columns: dict, meta: dict):
+    """CSV of sampled columns plus a JSON sidecar with the report header and meta."""
+    rows = zip(*((repr(float(v)) for v in arr) for arr in columns.values()))
+    _csv_dump(out, itertools.chain([tuple(columns)], rows))
+    _json_dump(_sidecar_path(out), {**report_header(cfg.config_hash()), **meta})
 
 
 def _load(args) -> tuple[RunConfig, Nonlinearity]:
@@ -65,43 +72,30 @@ def _solve_ground(cfg: RunConfig, nl: Nonlinearity):
 def cmd_ground(args) -> int:
     cfg, nl = _load(args)
     gs = _solve_ground(cfg, nl)
-    rows = zip(*((repr(float(v)) for v in arr) for arr in (gs.x, gs.Q, gs.Qp)))
-    _csv_dump(args.out, ("x", "Q", "Qp"), rows)
-    sidecar = _stamp(cfg)
-    sidecar.update({
-        "mu": gs.mu, "R": gs.R, "h": gs.h, "shoot_value": gs.shoot_value,
-        "c0": gs.c0, "rate": gs.rate, "far_field_fit_residual": gs.fit_residual,
-        "x_replace": gs.x_replace, "first_integral_max": gs.first_integral_max,
-        "ode_residual_fd2": gs.ode_residual,
-    })
-    _json_dump(_sidecar_path(args.out), sidecar)
+    _write_samples(args.out, cfg, {"x": gs.x, "Q": gs.Q, "Qp": gs.Qp},
+                   {**_ground_meta(gs), "far_field_fit_residual": gs.fit_residual,
+                    "ode_residual_fd2": gs.ode_residual})
     print(f"ground state written: {args.out} (Q(0) = {gs.shoot_value:.12g}, "
           f"rate = {gs.rate:.9g}, c0 = {gs.c0:.9g})")
     return 0
 
 
-def _sidecar_path(out: str) -> str:
-    return (out[:-4] if out.endswith(".csv") else out) + ".json"
-
-
 def cmd_spectrum(args) -> int:
     cfg, nl = _load(args)
-    eig_cfg = cfg.raw.get("eigen", {})
+    eig_cfg = cfg.raw["eigen"]
     mu = cfg.mu
-    R_eig = eig_cfg.get("R") or min(cfg.R or 30.0 / np.sqrt(mu), 12.0 / np.sqrt(mu))
-    n_eig = int(eig_cfg.get("n") or 1201)
-    h_eig = R_eig / ((n_eig - 1) // 2 or 1)
+    R_eig = eig_cfg["R"] or min(cfg.R or 30.0 / np.sqrt(mu), 12.0 / np.sqrt(mu))
+    h_eig = R_eig / ((eig_cfg["n"] - 1) // 2 or 1)
     gs = solve_ground_state(nl, mu, R=R_eig, h=h_eig, tol=max(cfg.tol_ode, 1e-9))
-    window = eig_cfg.get("window")
+    window = eig_cfg["window"]
     pairs = discrete_eigenvalues(gs, nl, window=tuple(window) if window else None,
-                                 k=int(eig_cfg.get("k") or 16))
-    report = _stamp(cfg)
-    report.update({
+                                 k=eig_cfg["k"])
+    _json_dump(args.out, {
+        **report_header(cfg.config_hash()),
         "mu": mu, "grid": {"R": gs.R, "h": gs.h},
         "eigenvalues": [{"lambda": p.lam, "residual": p.residual, "parity": p.parity}
                         for p in pairs],
     })
-    _json_dump(args.out, report)
     print(f"{len(pairs)} gap eigenvalue(s) written to {args.out}")
     for p in pairs:
         print(f"  lambda = {p.lam: .6e}  residual = {p.residual:.2e}  parity = {p.parity}")
@@ -112,13 +106,11 @@ def cmd_jost(args) -> int:
     cfg, nl = _load(args)
     gs = _solve_ground(cfg, nl)
     sol = decaying_solution(args.lam, gs, nl)
-    rows = zip(*((repr(float(v)) for v in arr) for arr in (sol.x, sol.f, sol.g, sol.fp, sol.gp)))
-    _csv_dump(args.out, ("x", "f", "g", "fp", "gp"), rows)
-    sidecar = _stamp(cfg)
-    sidecar.update({"lambda": sol.lam, "mu": sol.mu, "x_asym": sol.x_asym,
+    _write_samples(args.out, cfg,
+                   {"x": sol.x, "f": sol.f, "g": sol.g, "fp": sol.fp, "gp": sol.gp},
+                   {"lambda": sol.lam, "mu": sol.mu, "x_asym": sol.x_asym,
                     "residual": sol.residual, "asym_deviation": sol.asym_deviation,
                     "normalization": sol.normalization})
-    _json_dump(_sidecar_path(args.out), sidecar)
     print(f"decaying solution at lambda = {args.lam} written: {args.out} "
           f"(residual = {sol.residual:.2e})")
     return 0
@@ -137,45 +129,30 @@ def cmd_invert_check(args) -> int:
     return 0
 
 
-def _write_scan(report, cfg: RunConfig, out_json: str, stamp: bool):
+def _report_payload(report, cfg: RunConfig, stamp: bool) -> dict:
+    """JSON payload of a scan report; the wall clock goes in only with --stamp."""
     report.config_hash = cfg.config_hash()
-    _json_dump_text(out_json, report.to_json(include_timestamp=stamp))
-    out_csv = (out_json[:-5] if out_json.endswith(".json") else out_json) + ".csv"
-    rows = iter(report.csv_rows())
-    header = next(rows)
-    _csv_dump(out_csv, header, rows)
-    return out_csv
-
-
-def _json_dump_text(path: str, text: str):
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            fh.write("\n")
-    except OSError as exc:
-        raise ConfigurationError(f"cannot write {path}: {exc}") from exc
+    if stamp:
+        report.timestamp = _dt.datetime.now(_dt.timezone.utc).isoformat()
+    return report.to_json_dict()
 
 
 def cmd_scan(args) -> int:
-    cfg, nl = _load(args)
+    grid = {key: getattr(args, key) for key in ("lmin", "lmax", "n")
+            if getattr(args, key) is not None}
+    cfg = RunConfig.from_file(args.config)
+    if isinstance(cfg.raw["scan"], dict):   # a non-object block is left for validate
+        cfg.raw["scan"].update(grid)
+    cfg.validate()
+    nl = cfg.nonlinearity()
     lmin, lmax, n = cfg.scan_grid()
-    if args.lmin is not None:
-        lmin = args.lmin
-    if args.lmax is not None:
-        lmax = args.lmax
-    if args.n is not None:
-        n = args.n
-    if n < 1:
-        raise ConfigurationError(f"scan needs n >= 1 points, got {n}")
-    mu = cfg.mu
-    if not (lmin >= mu or lmax <= -mu):
-        raise ConfigurationError(
-            f"scan range [{lmin}, {lmax}] must sit inside the essential spectrum")
-    lambdas = np.linspace(lmin, lmax, n)
     gs = _solve_ground(cfg, nl)
     th = Thresholds(theta_cert=cfg.theta_cert, theta_mismatch=cfg.theta_mismatch)
-    report = scan_embedded(gs, nl, lambdas, thresholds=th, workers=cfg.parallelism)
-    out_csv = _write_scan(report, cfg, args.out, args.stamp)
+    report = scan_embedded(gs, nl, np.linspace(lmin, lmax, n), thresholds=th,
+                           workers=cfg.parallelism)
+    _json_dump(args.out, _report_payload(report, cfg, args.stamp))
+    out_csv = (args.out[:-5] if args.out.endswith(".json") else args.out) + ".csv"
+    _csv_dump(out_csv, report.csv_rows())
     summ = report.summary()
     print(f"scan written: {args.out} + {out_csv}")
     print(f"  verdicts: {summ['verdict_counts']}")
@@ -185,16 +162,17 @@ def cmd_scan(args) -> int:
 
 
 def cmd_control(args) -> int:
-    if args.config:
-        cfg = RunConfig.from_file(args.config).validate()
-    else:
-        cfg = RunConfig()
-    mu = args.mu if args.mu is not None else cfg.mu
-    if mu <= 0:
-        raise ConfigurationError(f"mu must be positive, got {mu}")
-    depth = args.depth
+    if (args.lmin is None) != (args.lmax is None):
+        raise ConfigurationError("control needs --lmin and --lmax together")
+    if args.n is not None and args.n < 1:
+        raise ConfigurationError(f"control needs --n >= 1, got {args.n}")
+    cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
+    if args.mu is not None:
+        cfg.raw["mu"] = args.mu
+    cfg.validate()
+    mu, depth = cfg.mu, args.depth
     levels = sech_well_levels(mu, depth)
-    if args.lmin is not None and args.lmax is not None:
+    if args.lmin is not None:
         lambdas = np.linspace(args.lmin, args.lmax, args.n or 41)
     elif levels:
         lambdas = np.linspace(max(mu * (1 + 1e-9), levels[0] - 0.5),
@@ -202,17 +180,11 @@ def cmd_control(args) -> int:
     else:
         lambdas = np.linspace(mu, mu + 9.0, args.n or 46)
     report = control_scan(mu, depth, lambdas)
-    candidate = None
-    try:
-        candidate = negative_control(mu, depth)
-    except ConfigurationError:
-        pass
-    report.config_hash = cfg.config_hash()
-    payload = report.to_json_dict(include_timestamp=args.stamp)
-    payload["well_depth"] = depth
-    payload["predicted_embedded_levels"] = levels
-    payload["candidate"] = candidate.to_dict() if candidate else None
-    _json_dump(args.out, payload)
+    # a predicted level that is not located is a failed detection (exit 1)
+    candidate = negative_control(mu, depth) if levels else None
+    _json_dump(args.out, {**_report_payload(report, cfg, args.stamp), "well_depth": depth,
+                          "predicted_embedded_levels": levels,
+                          "candidate": candidate.to_dict() if candidate else None})
     if candidate:
         print(f"embedded-candidate located at lambda = {candidate.lam:.6f} "
               f"(mismatch = {candidate.mismatch:.3e}); report: {args.out}")

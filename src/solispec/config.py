@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import math
@@ -23,6 +24,11 @@ DEFAULTS: dict = {
 }
 
 
+def _require_count(val, name: str):
+    if not isinstance(val, int) or val < 1:
+        raise ConfigurationError(f"{name} must be an integer >= 1, got {val!r}")
+
+
 def _merge(base: dict, override: dict) -> dict:
     out = dict(base)
     for key, val in override.items():
@@ -37,7 +43,7 @@ def _merge(base: dict, override: dict) -> dict:
 class RunConfig:
     """Resolved configuration for one pipeline run."""
 
-    raw: dict = field(default_factory=lambda: json.loads(json.dumps(DEFAULTS)))
+    raw: dict = field(default_factory=lambda: copy.deepcopy(DEFAULTS))
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
@@ -50,10 +56,13 @@ class RunConfig:
             raise ConfigurationError(f"malformed config file {path}: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigurationError("config file must hold a JSON object")
-        return cls(_merge(DEFAULTS, data))
+        return cls(_merge(copy.deepcopy(DEFAULTS), data))
 
     def validate(self) -> "RunConfig":
         c = self.raw
+        for key, val in DEFAULTS.items():
+            if isinstance(val, dict) and not isinstance(c.get(key), dict):
+                raise ConfigurationError(f"{key} must be a JSON object, got {c.get(key)!r}")
         mu = c.get("mu")
         if not isinstance(mu, (int, float)) or mu <= 0:
             raise ConfigurationError(f"mu must be a positive number, got {mu!r}")
@@ -69,18 +78,17 @@ class RunConfig:
         if h is not None and h <= 0:
             raise ConfigurationError(f"grid.h must be positive, got {h}")
         scan = c.get("scan", {})
-        n = scan.get("n")
-        if not isinstance(n, int) or n < 1:
-            raise ConfigurationError(f"scan.n must be an integer >= 1, got {n!r}")
+        _require_count(scan.get("n"), "scan.n")
         lmin, lmax = scan.get("lmin"), scan.get("lmax")
         if lmin is None or lmax is None or lmin > lmax:
             raise ConfigurationError(f"scan needs lmin <= lmax, got [{lmin}, {lmax}]")
-        if not (lmin >= mu or lmax <= -mu):
-            raise ConfigurationError(
-                f"scan block [{lmin}, {lmax}] must satisfy lmin >= mu or lmax <= -mu")
-        par = c.get("parallelism", 1)
-        if not isinstance(par, int) or par < 1:
-            raise ConfigurationError(f"parallelism must be an integer >= 1, got {par!r}")
+        eigen = c.get("eigen", {})
+        for key in ("n", "k"):
+            _require_count(eigen.get(key), f"eigen.{key}")
+        R_eig = eigen.get("R")
+        if R_eig is not None and not (isinstance(R_eig, (int, float)) and R_eig > 0):
+            raise ConfigurationError(f"eigen.R must be null or positive, got {R_eig!r}")
+        _require_count(c.get("parallelism", 1), "parallelism")
         try:
             self.nonlinearity()
         except Exception as exc:
@@ -117,8 +125,13 @@ class RunConfig:
         return float(self.raw["tolerances"]["theta_mismatch"])
 
     def scan_grid(self):
-        scan = self.raw["scan"]
-        return float(scan["lmin"]), float(scan["lmax"]), int(scan["n"])
+        """(lmin, lmax, n) of the scan block, which must lie outside the gap (-mu, mu)."""
+        scan, mu = self.raw["scan"], self.mu
+        lmin, lmax = float(scan["lmin"]), float(scan["lmax"])
+        if not (lmin >= mu or lmax <= -mu):
+            raise ConfigurationError(
+                f"scan block [{lmin}, {lmax}] must satisfy lmin >= mu or lmax <= -mu")
+        return lmin, lmax, int(scan["n"])
 
     @property
     def parallelism(self) -> int:

@@ -110,15 +110,19 @@ def _events():
     return hit_zero, turn_up
 
 
+def _first_event(sol, x_end: float):
+    """'high' with the zero crossing, else 'low' with the turning point or x_end."""
+    for kind, hits in zip(("high", "low"), sol.t_events):
+        if hits.size:
+            return kind, float(hits[0])
+    return "low", float(x_end)
+
+
 def _classify(nl, mu, q0, R, rtol=1e-11):
     """Classify a shot: 'high' crosses zero, 'low' turns back up."""
     sol = solve_ivp(_rhs(nl, mu), (0.0, R), [q0, 0.0], method="DOP853",
                     rtol=rtol, atol=1e-14 * q0, events=_events(), dense_output=False)
-    if sol.t_events[0].size:
-        return "high", float(sol.t_events[0][0])
-    if sol.t_events[1].size:
-        return "low", float(sol.t_events[1][0])
-    return "low", float(sol.t[-1])
+    return _first_event(sol, sol.t[-1])
 
 
 def _shoot_seed(nl, mu):
@@ -244,12 +248,7 @@ def solve_ground_state(nl: Nonlinearity, mu: float, R: float | None = None,
     # one clean forward pass to locate where the shot stops tracking the profile
     fwd = solve_ivp(_rhs(nl, mu), (0.0, R), [q0, 0.0], method="DOP853",
                     rtol=1e-12, atol=1e-14 * q0, events=_events(), dense_output=True)
-    if fwd.t_events[0].size:
-        x_event = float(fwd.t_events[0][0])
-    elif fwd.t_events[1].size:
-        x_event = float(fwd.t_events[1][0])
-    else:
-        x_event = R
+    x_event = _first_event(fwd, R)[1]
 
     x_far = min(X_FAR_FACTOR / sq, x_event - EVENT_SETBACK / sq, R - 2.0 / sq)
     if x_far < MIN_X_FAR / sq:

@@ -30,15 +30,9 @@ from scipy.integrate import cumulative_simpson
 
 from .errors import DomainError, HypothesisError, SingularityError
 from .ground_state import GroundState
+from .linearized_operator import _normalize_sign
 
 RATE_MARGIN = 1e-3     # required excess of the input decay rate over sqrt(mu)
-
-
-def _normalize_sign(sign) -> int:
-    s = {"+": 1, "-": -1, 1: 1, -1: -1, "plus": 1, "minus": -1}.get(sign)
-    if s is None:
-        raise DomainError("sign must be '+'/'-' or +1/-1")
-    return s
 
 
 def _reverse_cumsimp(y: np.ndarray, h: float) -> np.ndarray:

@@ -23,7 +23,7 @@ certificate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid, solve_ivp
@@ -96,8 +96,20 @@ class AsymptoticMode:
             return max(abs(float(x)), 1.0)
         return 1.0
 
-    def is_decaying(self) -> bool:
-        return self.kind == "decaying"
+
+def in_gap(lam: float, mu: float) -> bool:
+    return abs(lam) < mu * (1.0 - THRESHOLD_REL)
+
+
+def at_threshold(lam: float, mu: float) -> bool:
+    return abs(abs(lam) - mu) <= THRESHOLD_REL * mu
+
+
+def _reject_gap(lam: float, mu: float):
+    if in_gap(lam, mu):
+        raise DomainError(
+            f"|lambda| = {abs(lam)} lies inside the spectral gap (-{mu}, {mu}); "
+            "gap energies belong to the discrete eigensolver")
 
 
 def asymptotic_modes(lam: float, mu: float, end: int = +1) -> tuple[AsymptoticMode, ...]:
@@ -110,28 +122,20 @@ def asymptotic_modes(lam: float, mu: float, end: int = +1) -> tuple[AsymptoticMo
         raise DomainError(f"mu must be positive, got {mu}")
     if end not in (+1, -1):
         raise DomainError("end must be +1 (x -> +inf) or -1 (x -> -inf)")
-    if abs(lam) < mu * (1.0 - THRESHOLD_REL):
-        raise DomainError(
-            f"|lambda| = {abs(lam)} lies inside the spectral gap (-{mu}, {mu}); "
-            "gap energies belong to the discrete eigensolver")
+    _reject_gap(lam, mu)
     exp_channel = 0 if lam >= 0 else 1
     osc_channel = 1 - exp_channel
     kappa = math.sqrt(mu + abs(lam))
-    omega_sq = abs(lam) - mu
     dec = AsymptoticMode("decaying", exp_channel, kappa, lam, mu, end)
     grow = AsymptoticMode("growing", exp_channel, kappa, lam, mu, end)
-    if abs(omega_sq) <= THRESHOLD_REL * mu:
+    if at_threshold(lam, mu):
         m3 = AsymptoticMode("const", osc_channel, 0.0, lam, mu, end)
         m4 = AsymptoticMode("linear", osc_channel, 0.0, lam, mu, end)
     else:
-        omega = math.sqrt(omega_sq)
+        omega = math.sqrt(abs(lam) - mu)
         m3 = AsymptoticMode("cos", osc_channel, omega, lam, mu, end)
         m4 = AsymptoticMode("sin", osc_channel, omega, lam, mu, end)
     return dec, grow, m3, m4
-
-
-def at_threshold(lam: float, mu: float) -> bool:
-    return abs(abs(lam) - mu) <= THRESHOLD_REL * mu
 
 
 @dataclass(frozen=True)
@@ -152,10 +156,8 @@ class JostSolution:
     normalization: str = "leading decaying coefficient 1 at x_asym"
 
     def scaled(self, c: float) -> "JostSolution":
-        return JostSolution(self.lam, self.mu, self.x, c * self.f, c * self.g,
-                            c * self.fp, c * self.gp, self.x_asym, self.mode,
-                            self.residual, self.asym_deviation,
-                            normalization=f"scaled by {c} from unit leading coefficient")
+        return replace(self, f=c * self.f, g=c * self.g, fp=c * self.fp, gp=c * self.gp,
+                       normalization=f"scaled by {c} from unit leading coefficient")
 
 
 def _mode_sources(pm: PotentialMatrix, mode: AsymptoticMode, xs: np.ndarray):
@@ -189,9 +191,8 @@ def _tail_with_correction(pm: PotentialMatrix, lam: float, mode: AsymptoticMode,
     y_exp = -(A + B) / (2.0 * kappa)
     yp_exp = (A - B) / 2.0
 
-    omega_sq = abs(lam) - mu
-    if omega_sq > THRESHOLD_REL * mu:
-        om = math.sqrt(omega_sq)
+    if not at_threshold(lam, mu):
+        om = math.sqrt(abs(lam) - mu)
         s_os, c_os = np.sin(om * xs), np.cos(om * xs)
         Is = np.concatenate([[0.0], cumulative_trapezoid(s_os * rho_osc, xs)])
         Ic = np.concatenate([[0.0], cumulative_trapezoid(c_os * rho_osc, xs)])
@@ -284,8 +285,6 @@ def _sweep_decaying(pm: PotentialMatrix, lam: float, x_stop: float | None = None
                     rtol: float = SWEEP_RTOL) -> JostSolution:
     """Backward sweep of the decaying solution; valid for any |lam| >= mu."""
     mu = pm.mu
-    if abs(lam) < mu * (1.0 - THRESHOLD_REL):
-        raise DomainError(f"|lambda| = {abs(lam)} inside the spectral gap")
     mode = asymptotic_modes(lam, mu, end=+1)[0]
     kappa = mode.value
     x_asym = pm.negligible_from(V_NEGLIGIBLE)
@@ -454,16 +453,16 @@ def default_window(pm: PotentialMatrix, lam: float, end: int,
     falls below station_threshold (default 1e-5 * mu).
     """
     mu = pm.mu
+    _reject_gap(lam, mu)
     sq = math.sqrt(mu)
     if station_threshold is None:
         station_threshold = 1e-5 * mu
     # keep the station outside the [-5, 5]/sqrt(mu) normalization region so
     # growing-mode content is measured where it dominates
     x_s = max(pm.negligible_from(station_threshold), 6.0 / sq)
-    omega_sq = abs(lam) - mu
     W = 8.0 / sq
-    if omega_sq > THRESHOLD_REL * mu:
-        W = min(max(3.0 * 2.0 * math.pi / math.sqrt(omega_sq), 4.0 / sq), 8.0 / sq)
+    if not at_threshold(lam, mu):
+        W = min(max(3.0 * 2.0 * math.pi / math.sqrt(abs(lam) - mu), 4.0 / sq), 8.0 / sq)
     W = min(W, pm.R - x_s - 1.0 / sq)
     if W < 2.0 / sq:
         raise ConditioningError(

@@ -73,6 +73,7 @@ class PotentialMatrix:
 
     @cached_property
     def _spline_data(self):
+        # reading CubicSpline.x and .c costs microseconds; the scalar path reads them once
         cs = self._spline
         return cs.x, cs.c
 
@@ -120,6 +121,7 @@ class GridField2:
             raise GridMismatchError("components f and g must share one grid")
 
     def swap(self) -> "GridField2":
+        """The conjugation S with S H S = -H."""
         return GridField2(self.g, self.f)
 
 
@@ -204,31 +206,20 @@ def apply_H_potential(pm: PotentialMatrix, w: GridField2, order: int = 2) -> Gri
     return GridField2(out_f, out_g)
 
 
-def apply_H(gs: GroundState, nl: Nonlinearity, w: GridField2, order: int = 2) -> GridField2:
-    return apply_H_potential(potential_V(gs, nl), w, order)
+def _normalize_sign(sign) -> int:
+    """+1 selects L_plus and -1 L_minus; also accepts '+'/'-' and 'plus'/'minus'."""
+    s = {"+": 1, "-": -1, 1: 1, -1: -1, "plus": 1, "minus": -1}.get(sign)
+    if s is None:
+        raise DomainError("sign must be '+'/'-' or +1/-1")
+    return s
 
 
-def apply_L_potential(pm: PotentialMatrix, sign: int, f: np.ndarray,
+def apply_L_potential(pm: PotentialMatrix, sign, f: np.ndarray,
                       order: int = 2) -> np.ndarray:
-    """Scalar action: sign=-1 gives L_minus, sign=+1 gives L_plus."""
+    """Scalar action: sign -1 (or '-') gives L_minus, sign +1 (or '+') gives L_plus."""
     _check_grid(pm, f)
-    if sign not in (-1, 1):
-        raise DomainError(f"sign must be +1 or -1, got {sign}")
-    pot = (pm.a + pm.b) if sign == 1 else (pm.a - pm.b)
+    pot = (pm.a + pm.b) if _normalize_sign(sign) == 1 else (pm.a - pm.b)
     return -_second_diff(f, pm.h, order) + pm.mu * f - pot * f
-
-
-def apply_L(sign, gs: GroundState, nl: Nonlinearity, f: np.ndarray,
-            order: int = 2) -> np.ndarray:
-    sign = {"+": 1, "-": -1, 1: 1, -1: -1}.get(sign)
-    if sign is None:
-        raise DomainError("sign must be '+', '-', +1 or -1")
-    return apply_L_potential(potential_V(gs, nl), sign, f, order)
-
-
-def swap_components(w: GridField2) -> GridField2:
-    """The conjugation S with S H S = -H."""
-    return w.swap()
 
 
 def assemble_matrix(pm: PotentialMatrix) -> sp.csr_matrix:

@@ -203,8 +203,3 @@ class Nonlinearity:
         if abs(self.G(0.0)) > 0.0:
             raise DomainError("G(0) must vanish exactly")
         return {"dF_fd_error": err_dF, "G_quad_error": err_G}
-
-
-def eval_triple(nl: Nonlinearity, s):
-    """Module-level alias for Nonlinearity.eval."""
-    return nl.eval(s)

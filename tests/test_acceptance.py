@@ -27,7 +27,7 @@ def _grid_l2(arr, h):
 
 
 def _kernel_rel_residual(gs, nl, w):
-    out = sp.apply_H(gs, nl, w)
+    out = sp.apply_H_potential(sp.potential_V(gs, nl), w)
     return (_grid_l2(np.concatenate([out.f, out.g]), gs.h)
             / _grid_l2(np.concatenate([w.f, w.g]), gs.h))
 
@@ -114,7 +114,7 @@ def test_criterion_05_inversion_round_trip(gs_cubic, nl_cubic):
     w = np.exp(-2.0 * gs_cubic.x)
     errs = {}
     for sign in ("-", "+"):
-        v = sp.apply_L(sign, gs_cubic, nl_cubic, w)
+        v = sp.apply_L_potential(sp.potential_V(gs_cubic, nl_cubic), sign, w)
         xs, u = sp.invert_L(sign, gs_cubic, v, x0=1.0)
         keep = xs <= gs_cubic.R - 5.0
         errs[sign] = float(np.max(np.abs(u - np.exp(-2.0 * xs))[keep]))

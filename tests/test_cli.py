@@ -4,8 +4,9 @@ import os
 import numpy as np
 import pytest
 
+import solispec.certificate
 from solispec.cli import main
-from solispec.config import RunConfig, print_defaults
+from solispec.config import DEFAULTS, RunConfig, print_defaults
 
 
 @pytest.fixture()
@@ -97,6 +98,8 @@ def test_scan_stamp_embeds_timestamp(tmp_path, cfg_path):
                  "--lmin", "1.5", "--out", out, "--stamp"]) == 0
     payload = json.loads((tmp_path / "report.json").read_text())
     assert payload["timestamp"] is not None
+    # the hash covers the overridden grid, not just the file
+    assert payload["config_hash"] != RunConfig.from_file(cfg_path).config_hash()
 
 
 def test_scan_empty_grid_exits_2_without_files(tmp_path, cfg_path):
@@ -159,6 +162,58 @@ def test_control_command_shallow_well(tmp_path):
     payload = json.loads((tmp_path / "control.json").read_text())
     assert payload["candidate"] is None
     assert all(r["verdict"] != "embedded-candidate" for r in payload["records"])
+
+
+def test_control_failed_detection_exits_1(tmp_path, monkeypatch):
+    """A predicted level the detector cannot locate fails the run."""
+    monkeypatch.setattr(solispec.certificate, "sech_well_levels", lambda mu, depth: [6.0])
+    out = str(tmp_path / "control.json")
+    assert main(["control", "--mu", "1.0", "--depth", "6.0", "--n", "3", "--out", out]) == 1
+    assert not os.path.exists(out)
+
+
+def test_control_mu_override_ignores_scan_block(tmp_path):
+    """The default scan block [1, 10] does not fit mu = 2, but control does not read it."""
+    out = str(tmp_path / "control.json")
+    assert main(["control", "--mu", "2.0", "--depth", "12.0", "--n", "5", "--out", out]) == 0
+    payload = json.loads((tmp_path / "control.json").read_text())
+    assert payload["predicted_embedded_levels"] == [7.0, 2.0]
+    assert abs(payload["candidate"]["lambda"] - 7.0) <= 0.05
+
+
+@pytest.mark.parametrize("over", [[], ["--lmin", "1.5", "--lmax", "3.0", "--n", "2"]])
+def test_scan_non_object_block_exits_2(tmp_path, capsys, over):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"scan": 5}))
+    out = str(tmp_path / "r.json")
+    assert main(["scan", "--config", str(path), *over, "--out", out]) == 2
+    assert "scan must be a JSON object" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("grid", [["--n", "0"], ["--lmin", "2.0"], ["--lmax", "4.0"]])
+def test_control_bad_grid_exits_2(tmp_path, grid):
+    out = str(tmp_path / "control.json")
+    assert main(["control", "--depth", "6.0", *grid, "--out", out]) == 2
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("eigen", [{"n": "abc"}, {"k": 0}, {"R": -1.0}, None])
+def test_spectrum_bad_eigen_block_exits_2(tmp_path, eigen):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"eigen": eigen}))
+    out = str(tmp_path / "spec.json")
+    assert main(["spectrum", "--config", str(path), "--out", out]) == 2
+    assert not os.path.exists(out)
+
+
+def test_from_file_does_not_alias_defaults(tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"mu": 1.0}))
+    cfg = RunConfig.from_file(str(path))
+    assert cfg.raw["scan"] is not DEFAULTS["scan"]
+    cfg.raw["scan"]["n"] = 5
+    assert DEFAULTS["scan"]["n"] == 200
 
 
 def test_config_validation_rules(tmp_path):

@@ -13,7 +13,7 @@ def test_zero_input_gives_zero(gs_cubic):
 def test_round_trip_exponential(gs_cubic, nl_cubic, sign):
     """invert_L(L w) recovers w = exp(-2x) on [1, R-5] to 1e-6."""
     w = np.exp(-2.0 * gs_cubic.x)
-    v = sp.apply_L(sign, gs_cubic, nl_cubic, w)
+    v = sp.apply_L_potential(sp.potential_V(gs_cubic, nl_cubic), sign, w)
     xs, u = sp.invert_L(sign, gs_cubic, v, x0=1.0)
     keep = xs <= gs_cubic.R - 5.0
     assert np.max(np.abs(u - np.exp(-2.0 * xs))[keep]) <= 1e-6
@@ -28,7 +28,7 @@ def test_forward_check(gs_cubic, nl_cubic):
     full = np.zeros_like(x)
     i0 = int(round((1.0 + gs_cubic.R) / gs_cubic.h))
     full[i0:] = u
-    lv = sp.apply_L("-", gs_cubic, nl_cubic, full)
+    lv = sp.apply_L_potential(sp.potential_V(gs_cubic, nl_cubic), "-", full)
     inner = (x >= 2.0) & (x <= gs_cubic.R - 5.0)
     assert np.max(np.abs(lv - v)[inner]) <= 5e-6
 

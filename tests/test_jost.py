@@ -33,6 +33,13 @@ def test_modes_inside_gap_rejected():
         sp.asymptotic_modes(0.5, 1.0)
 
 
+@pytest.mark.parametrize("lam", [0.5, -0.5])
+def test_default_window_rejects_gap(lam):
+    pm0 = sp.decoupled_well_potential(1.0, 0.0, R=25.0, h=2e-3)
+    with pytest.raises(sp.DomainError, match="spectral gap"):
+        sp.default_window(pm0, lam, end=-1)
+
+
 def test_free_potential_gives_pure_mode():
     pm0 = sp.decoupled_well_potential(1.0, 0.0, R=25.0, h=2e-3)
     sol = sp.decaying_solution(2.0, potential=pm0)

@@ -65,20 +65,20 @@ def test_kernel_residual_halves_by_four(nl_cubic, gs_cubic):
         assert 2**1.4 <= r1 / r2 <= 2**2.6
 
 
-def test_apply_L_kernels(gs_cubic, nl_cubic):
+def test_apply_L_kernels(gs_cubic, pm_cubic):
     h = gs_cubic.h
-    lm = sp.apply_L("-", gs_cubic, nl_cubic, gs_cubic.Q)
-    lp = sp.apply_L("+", gs_cubic, nl_cubic, gs_cubic.Qp)
+    lm = sp.apply_L_potential(pm_cubic, "-", gs_cubic.Q)
+    lp = sp.apply_L_potential(pm_cubic, "+", gs_cubic.Qp)
     assert grid_l2(lm, h) / grid_l2(gs_cubic.Q, h) <= 5e-6
     assert grid_l2(lp, h) / grid_l2(gs_cubic.Qp, h) <= 5e-6
 
 
-def test_fourth_order_stencil_flag(gs_cubic, nl_cubic):
+def test_fourth_order_stencil_flag(gs_cubic, pm_cubic):
     h = gs_cubic.h
     # interior truncation drops to rounding level; the Dirichlet ghost
     # contribution at the walls then dominates the 4th-order residual
-    r2 = grid_l2(sp.apply_L("-", gs_cubic, nl_cubic, gs_cubic.Q), h)
-    r4 = grid_l2(sp.apply_L("-", gs_cubic, nl_cubic, gs_cubic.Q, order=4), h)
+    r2 = grid_l2(sp.apply_L_potential(pm_cubic, "-", gs_cubic.Q), h)
+    r4 = grid_l2(sp.apply_L_potential(pm_cubic, "-", gs_cubic.Q, order=4), h)
     assert r4 <= 0.1 * r2
 
 
@@ -87,7 +87,7 @@ def test_swap_symmetry_exact(pm_cubic):
     w = sp.GridField2(rng.standard_normal(len(pm_cubic.x)),
                       rng.standard_normal(len(pm_cubic.x)))
     hw = sp.apply_H_potential(pm_cubic, w)
-    hsw = sp.apply_H_potential(pm_cubic, sp.swap_components(w))
+    hsw = sp.apply_H_potential(pm_cubic, w.swap())
     assert np.array_equal(hsw.f, -hw.g)
     assert np.array_equal(hsw.g, -hw.f)
 
@@ -101,15 +101,15 @@ def test_swap_symmetry_exact_on_matrix(gs_cubic_coarse, nl_cubic):
     assert (S @ H @ S + H).nnz == 0
 
 
-def test_rows_reduce_to_scalar_operators(gs_cubic, nl_cubic, pm_cubic):
+def test_rows_reduce_to_scalar_operators(gs_cubic, pm_cubic):
     """Row sum/difference of H equals -L_minus v and -L_plus u, identically."""
     rng = np.random.default_rng(3)
     f = rng.standard_normal(len(gs_cubic.x))
     g = rng.standard_normal(len(gs_cubic.x))
     hw = sp.apply_H_potential(pm_cubic, sp.GridField2(f, g))
     scale = np.max(np.abs(hw.f)) + np.max(np.abs(hw.g))
-    lm = sp.apply_L("-", gs_cubic, nl_cubic, f - g)
-    lp = sp.apply_L("+", gs_cubic, nl_cubic, f + g)
+    lm = sp.apply_L_potential(pm_cubic, "-", f - g)
+    lp = sp.apply_L_potential(pm_cubic, "+", f + g)
     assert np.max(np.abs(hw.f + hw.g + lm)) <= 1e-13 * scale
     assert np.max(np.abs(hw.f - hw.g + lp)) <= 1e-13 * scale
 
