@@ -44,8 +44,8 @@ from scipy.optimize import brentq
 from . import __version__ as _tool_version
 from .errors import ConfigurationError, DomainError, HypothesisError, SolispecError
 from .ground_state import GroundState
-from .jost import (CERT_SWEEP_RTOL, JostSolution, at_threshold, default_window,
-                   expand_in_modes, in_gap, _sweep_decaying)
+from .jost import (JostSolution, at_threshold, default_window, expand_in_modes, in_gap,
+                   _sweep_decaying)
 from .linearized_operator import PotentialMatrix, decoupled_well_potential, potential_V
 from .nonlinearity import Nonlinearity
 
@@ -187,7 +187,7 @@ def _certify_potential(pm: PotentialMatrix, lam: float,
     """Core certificate at one energy on a prebuilt potential."""
     th = thresholds or Thresholds()
     flip = lam < 0 and method != "direct"
-    sol = _sweep_decaying(pm, -lam if flip else lam, rtol=CERT_SWEEP_RTOL)
+    sol = _sweep_decaying(pm, -lam if flip else lam)
     method_name = "direct" if (lam < 0 and method == "direct") else "reflect"
     return _score_solution(pm, sol, lam, th, flip, method_name)
 
@@ -259,12 +259,23 @@ class ScanReport:
             yield (repr(r.lam), repr(r.v0), repr(r.v0p), repr(r.mismatch), r.verdict)
 
 
-def _scan_one(args):
-    pm, lam, th = args
+def _scan_one(pm: PotentialMatrix, lam: float, th: Thresholds) -> CertificateRecord:
     try:
         return _certify_potential(pm, lam, th)
     except SolispecError as exc:
         return _error_record(lam, f"{type(exc).__name__}: {exc}")
+
+
+_worker_pm: PotentialMatrix | None = None     # a pool worker's potential, set once at start
+
+
+def _init_worker(pm: PotentialMatrix):
+    global _worker_pm
+    _worker_pm = pm
+
+
+def _scan_in_worker(lam: float, th: Thresholds) -> CertificateRecord:
+    return _scan_one(_worker_pm, lam, th)
 
 
 def _ground_meta(gs: GroundState) -> dict:
@@ -293,12 +304,14 @@ def _scan(pm: PotentialMatrix, lambdas, thresholds: Thresholds | None, workers: 
         if in_gap(lam, mu):
             raise ConfigurationError(
                 f"lambda = {lam} lies inside the spectral gap (-{mu}, {mu})")
-    jobs = [(pm, lam, th) for lam in lams]
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_scan_one, jobs, chunksize=max(1, len(jobs) // (4 * workers))))
+        # the potential goes to each worker once, not with every chunk of energies
+        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+                                 initargs=(pm,)) as pool:
+            records = list(pool.map(_scan_in_worker, lams, [th] * len(lams),
+                                    chunksize=max(1, len(lams) // (4 * workers))))
     else:
-        records = [_scan_one(j) for j in jobs]
+        records = [_scan_one(pm, lam, th) for lam in lams]
     return ScanReport(mu=mu, lambdas=lams, records=records, ground_meta=ground_meta,
                       nonlinearity_meta=nonlinearity_meta, thresholds=th)
 

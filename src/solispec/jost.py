@@ -15,6 +15,17 @@ correction) and the system is integrated backward, which is the
 numerically stable direction. The solution is normalized so the leading
 decaying coefficient is exactly 1 at the station.
 
+The sweep is Lawson's integrating-factor RK4 (SIAM J. Numer. Anal. 4, 1967)
+with one step per grid cell. Writing y' = (A0 + P(x)) y with the free part
+A0 and the potential part P, it applies classical RK4 to exp(-x A0) y, so
+the free flow exp(s A0) enters in closed form and the step is exact when
+P = 0: a pure mode stays pure to rounding, whatever its rate or frequency.
+P enters at the nodes and, through its cubic spline, at the cell midpoints.
+The system is linear, so each step is a 4x4 matrix; all are built at once,
+each with its own spacing x[i+1] - x[i], because linspace spacings differ
+by ~1e-11 relative and a nominal h would put that error into every step.
+They are chained in about sqrt(n) blocks: O(sqrt(n)) Python iterations.
+
 expand_in_modes projects samples onto the four free modes over a window by
 least squares; it is the quantitative tool behind the mode-mismatch
 certificate.
@@ -26,7 +37,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid, solve_ivp
+from scipy.integrate import cumulative_trapezoid
 
 from .errors import ConditioningError, DomainError
 from .ground_state import GroundState
@@ -34,10 +45,8 @@ from .linearized_operator import PotentialMatrix, potential_V
 from .nonlinearity import Nonlinearity
 
 V_NEGLIGIBLE = 1e-14        # station threshold for imposing pure-mode data
-SWEEP_RTOL = 1e-13          # public constructions; certificates relax this
-CERT_SWEEP_RTOL = 1e-12
-ATOL_REL_FLOOR = 1e-17      # per-segment absolute floor relative to the state size
-SEGMENT_LENGTH = 3.0        # sweep segment length in units of 1/sqrt(mu)
+CERT_SWEEP_RTOL = 1e-12     # decaying_solution(rtol=...) accepts it; the sweep ignores it
+PROPAGATOR_CHUNK = 4096     # steps whose propagators are built together
 THRESHOLD_REL = 1e-12       # |{|lambda|} - mu| below this counts as the threshold case
 
 _STENCIL6 = np.array([1.0 / 90, -3.0 / 20, 3.0 / 2, -49.0 / 18, 3.0 / 2, -3.0 / 20, 1.0 / 90])
@@ -214,49 +223,82 @@ def _tail_with_correction(pm: PotentialMatrix, lam: float, mode: AsymptoticMode,
     return f0 + y_osc, g0 + y_exp, fp0 + yp_osc, gp0 + yp_exp
 
 
-def _sweep_rhs(pm: PotentialMatrix, lam: float):
-    mu = pm.mu
-    ent = pm.entries_at
+def _free_propagators(mu: float, lam: float, s: np.ndarray) -> np.ndarray:
+    """exp(s A0) of the free system for each step length in s, shape (len(s), 4, 4).
 
-    def rhs(x, y):
-        a, b = ent(x)
-        f, g, fp, gp = y
-        return (fp, gp, (mu + lam - a) * f - b * g, (mu - lam - a) * g - b * f)
-
-    return rhs
-
-
-def _segmented_backward(pm: PotentialMatrix, lam: float, y0, i_from: int,
-                        i_to: int, rtol: float) -> np.ndarray:
-    """Integrate the 4-system from grid index i_from down to i_to.
-
-    Components of the solution span many orders of magnitude along the
-    sweep, so a single absolute tolerance either stalls the step controller
-    (too small when a component transits zero) or destroys accuracy (too
-    large at the start). Splitting into short segments and flooring the
-    absolute tolerance at ATOL_REL_FLOOR times the segment's entry size
-    keeps the control relative where it matters at every stage.
+    A channel with y'' = d y contributes [[C, S], [d S, C]]: cosh/sinh for
+    d > 0, cos/sin for d < 0, and C = 1, S = s at the threshold d = 0.
     """
-    rhs = _sweep_rhs(pm, lam)
-    seg = max(int(round(SEGMENT_LENGTH / math.sqrt(pm.mu) / pm.h)), 8)
-    out = np.empty((4, i_from - i_to + 1))
-    out[:, -1] = y0
-    y = np.asarray(y0, dtype=float)
-    hi = i_from
-    while hi > i_to:
-        lo = max(hi - seg, i_to)
-        te = pm.x[lo:hi + 1][::-1]
-        atol = ATOL_REL_FLOOR * float(np.max(np.abs(y)))
-        sol = solve_ivp(rhs, (pm.x[hi], pm.x[lo]), y, method="DOP853",
-                        rtol=rtol, atol=atol, t_eval=te)
-        if not sol.success:
-            raise DomainError(
-                f"backward sweep failed at lambda = {lam} on "
-                f"[{pm.x[lo]:.2f}, {pm.x[hi]:.2f}]: {sol.message}")
-        out[:, lo - i_to:hi - i_to + 1] = sol.y[:, ::-1]
-        y = sol.y[:, -1]
-        hi = lo
-    return out
+    E = np.zeros(s.shape + (4, 4))
+    for c, d in enumerate((mu + lam, mu - lam)):
+        if d > 0:
+            r = math.sqrt(d)
+            C, S = np.cosh(r * s), np.sinh(r * s) / r
+        elif d < 0:
+            r = math.sqrt(-d)
+            C, S = np.cos(r * s), np.sin(r * s) / r
+        else:
+            C, S = 1.0, s
+        E[:, c, c] = E[:, c + 2, c + 2] = C
+        E[:, c, c + 2] = S
+        E[:, c + 2, c] = d * S
+    return E
+
+
+def _potential_part(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The potential's share of the 4-system matrix: f'' gets -a f - b g, g'' gets -b f - a g."""
+    P = np.zeros(a.shape + (4, 4))
+    P[:, 2, 0] = P[:, 3, 1] = -a
+    P[:, 2, 1] = P[:, 3, 0] = -b
+    return P
+
+
+def _step_propagators(pm: PotentialMatrix, lam: float, lo: int, hi: int) -> np.ndarray:
+    """Lawson RK4 propagators from x[i+1] back to x[i] for i in [lo, hi), shape (hi-lo, 4, 4)."""
+    s = pm.x[lo:hi] - pm.x[lo + 1:hi + 1]       # negative; each step its own length
+    Eh, Ef = _free_propagators(pm.mu, lam, 0.5 * s), _free_propagators(pm.mu, lam, s)
+    s = s[:, None, None]
+    am, bm = pm.midpoint_entries
+    P0 = _potential_part(pm.a[lo + 1:hi + 1], pm.b[lo + 1:hi + 1])
+    Pm = _potential_part(am[lo:hi], bm[lo:hi])
+    K2 = Pm @ Eh @ (np.eye(4) + 0.5 * s * P0)
+    K3 = Pm @ (Eh + 0.5 * s * K2)
+    K4 = _potential_part(pm.a[lo:hi], pm.b[lo:hi]) @ (Ef + s * (Eh @ K3))
+    return Ef + s / 6.0 * (Ef @ P0 + 2.0 * (Eh @ (K2 + K3)) + K4)
+
+
+def _sweep_states(pm: PotentialMatrix, lam: float, y0, i_from: int, i_to: int) -> np.ndarray:
+    """States (f, g, f', g') at grid nodes i_to..i_from of the backward sweep from y0.
+
+    The step propagators are built in chunks of at most PROPAGATOR_CHUNK
+    steps and chained in about sqrt(n) blocks: every block's total product
+    (all blocks at once), then each block's entry state in turn, then the
+    states inside all blocks at once. Returns shape (4, i_from - i_to + 1).
+    """
+    n = i_from - i_to
+    m = math.isqrt(n - 1) + 1                   # block length, ceil(sqrt(n))
+    nb = -(-n // m)
+    T = np.empty((nb * m, 4, 4))                # step k maps node i_from - k to i_from - k - 1
+    T[n:] = np.eye(4)
+    for k in range(0, n, PROPAGATOR_CHUNK):
+        k1 = min(k + PROPAGATOR_CHUNK, n)
+        T[k:k1] = _step_propagators(pm, lam, i_from - k1, i_from - k)[::-1]
+    T = T.reshape(nb, m, 4, 4)
+    total = np.broadcast_to(np.eye(4), (nb, 4, 4))
+    for t in range(m):
+        total = T[:, t] @ total
+    entry = np.empty((nb, 4))
+    entry[0] = y0
+    for j in range(1, nb):
+        entry[j] = total[j - 1] @ entry[j - 1]
+    states = np.empty((nb, m, 4))
+    y = entry
+    for t in range(m):
+        y = np.einsum("bij,bj->bi", T[:, t], y)
+        states[:, t] = y
+    if not np.all(np.isfinite(states)):
+        raise DomainError(f"backward sweep overflowed at lambda = {lam}; too large for this grid")
+    return np.concatenate([np.reshape(y0, (1, 4)), states.reshape(-1, 4)[:n]])[::-1].T
 
 
 def _rel_residual(pm: PotentialMatrix, lam: float, x, f, g, fp, gp) -> float:
@@ -281,8 +323,7 @@ def _rel_residual(pm: PotentialMatrix, lam: float, x, f, g, fp, gp) -> float:
     return float(np.max(np.hypot(r1, r2) / scale))
 
 
-def _sweep_decaying(pm: PotentialMatrix, lam: float, x_stop: float | None = None,
-                    rtol: float = SWEEP_RTOL) -> JostSolution:
+def _sweep_decaying(pm: PotentialMatrix, lam: float, x_stop: float | None = None) -> JostSolution:
     """Backward sweep of the decaying solution; valid for any |lam| >= mu."""
     mu = pm.mu
     mode = asymptotic_modes(lam, mu, end=+1)[0]
@@ -292,18 +333,16 @@ def _sweep_decaying(pm: PotentialMatrix, lam: float, x_stop: float | None = None
         raise DomainError(
             f"kappa * x_asym = {kappa * x_asym:.0f} underflows the tail normalization; "
             "lambda is too large for this grid")
-    if x_stop is None:
-        x_stop = float(pm.x[0])
-    if x_stop >= x_asym:
+    i_asym = int(np.searchsorted(pm.x, x_asym - 0.5 * pm.h))
+    i_stop = 0 if x_stop is None else int(np.searchsorted(pm.x, x_stop - 0.5 * pm.h))
+    if i_stop >= i_asym:
         raise DomainError(f"x_stop = {x_stop} must lie left of the station x_asym = {x_asym}")
 
-    i_asym = int(np.searchsorted(pm.x, x_asym - 0.5 * pm.h))
     xs_tail = pm.x[i_asym:]
     f_t, g_t, fp_t, gp_t = _tail_with_correction(pm, lam, mode, xs_tail)
     y0 = np.array([f_t[0], g_t[0], fp_t[0], gp_t[0]])
 
-    i_stop = int(np.searchsorted(pm.x, x_stop - 0.5 * pm.h))
-    swept = _segmented_backward(pm, lam, y0, i_asym, i_stop, rtol)
+    swept = _sweep_states(pm, lam, y0, i_asym, i_stop)
 
     x_all = pm.x[i_stop:]
     f = np.concatenate([swept[0, :-1], f_t])
@@ -325,24 +364,24 @@ def decaying_solution(lam: float, gs: GroundState | None = None,
                       nl: Nonlinearity | None = None, *,
                       potential: PotentialMatrix | None = None,
                       x_stop: float | None = None,
-                      rtol: float = SWEEP_RTOL) -> JostSolution:
+                      rtol: float | None = None) -> JostSolution:
     """The solution decaying like exp(-kappa*x) at +infinity, for lam >= mu.
 
     Energies lam <= -mu are obtained from the positive branch through the
     component swap (see certificate.reflect_spectrum). Pass either a ground
-    state with its nonlinearity or a prebuilt PotentialMatrix.
+    state with its nonlinearity or a prebuilt PotentialMatrix. rtol is
+    accepted for callers of the former adaptive sweep and has no effect.
     """
     pm = potential if potential is not None else potential_V(gs, nl)
     if lam < pm.mu * (1.0 - THRESHOLD_REL):
         raise DomainError(
             f"decaying_solution needs lambda >= mu = {pm.mu}; for the negative branch "
             "reflect the positive-energy solution")
-    return _sweep_decaying(pm, lam, x_stop=x_stop, rtol=rtol)
+    return _sweep_decaying(pm, lam, x_stop=x_stop)
 
 
 def integrate_from_mode(pm: PotentialMatrix, lam: float, mode_index: int,
-                        x_stop: float | None = None,
-                        rtol: float = SWEEP_RTOL) -> JostSolution:
+                        x_stop: float | None = None) -> JostSolution:
     """Diagnostic: integrate backward from pure mode data (no correction).
 
     Useful for building independent solutions whose pairwise bilinear
@@ -358,8 +397,7 @@ def integrate_from_mode(pm: PotentialMatrix, lam: float, mode_index: int,
     xs = pm.x[i_stop:i_asym + 1]
     f0, g0, fp0, gp0 = mode.eval(xs[-1])
     y0 = np.array([float(f0), float(g0), float(fp0), float(gp0)])
-    swept = _segmented_backward(pm, lam, y0, i_asym, i_stop, rtol)
-    f, g, fp, gp = swept
+    f, g, fp, gp = _sweep_states(pm, lam, y0, i_asym, i_stop)
     res = _rel_residual(pm, lam, xs, f, g, fp, gp)
     return JostSolution(lam=float(lam), mu=pm.mu, x=xs, f=f, g=g, fp=fp, gp=gp,
                         x_asym=float(xs[-1]), mode=mode, residual=res,

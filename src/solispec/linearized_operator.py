@@ -71,28 +71,15 @@ class PotentialMatrix:
     def _spline(self):
         return CubicSpline(self.x, np.column_stack([self.a, self.b]), axis=0)
 
-    @cached_property
-    def _spline_data(self):
-        # reading CubicSpline.x and .c costs microseconds; the scalar path reads them once
-        cs = self._spline
-        return cs.x, cs.c
-
     def entries_at(self, xv):
         """Spline evaluation of (a, b) between grid nodes (exact at nodes)."""
-        if np.ndim(xv) == 0:
-            # manual Horner on the precomputed coefficients; the generic
-            # scipy call dominates ODE right-hand-side cost otherwise
-            knots, c = self._spline_data
-            i = knots.searchsorted(xv, side="right") - 1
-            if i < 0:
-                i = 0
-            elif i >= c.shape[1]:
-                i = c.shape[1] - 1
-            t = xv - knots[i]
-            out = ((c[0, i] * t + c[1, i]) * t + c[2, i]) * t + c[3, i]
-            return out[0], out[1]
         out = self._spline(xv)
         return out[..., 0], out[..., 1]
+
+    @cached_property
+    def midpoint_entries(self):
+        """(a, b) at the cell midpoints, the samples every sweep reads; built at the first."""
+        return self.entries_at(0.5 * (self.x[:-1] + self.x[1:]))
 
     def negligible_from(self, threshold: float) -> float:
         """Smallest station x >= 0 with max(|a|,|b|) <= threshold for all |t| >= x."""

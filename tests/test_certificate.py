@@ -150,6 +150,13 @@ def test_scan_errors_become_inconclusive_records(gs_cubic, nl_cubic, monkeypatch
     assert all("synthetic" in r.error for r in rep.records)
 
 
+def test_scan_two_workers_match_one(gs_cubic, nl_cubic):
+    lams = [-4.0, -1.5, 1.5, 4.0]
+    serial = sp.scan_embedded(gs_cubic, nl_cubic, lams, workers=1)
+    pooled = sp.scan_embedded(gs_cubic, nl_cubic, lams, workers=2)
+    assert pooled.to_json() == serial.to_json()
+
+
 def test_report_json_deterministic_and_schema(gs_cubic, nl_cubic):
     lams = np.linspace(1.5, 3.5, 5)
     rep1 = sp.scan_embedded(gs_cubic, nl_cubic, lams)

@@ -1,7 +1,12 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 import solispec as sp
+import solispec.jost as sp_jost
+from solispec.certificate import _certify_potential
 
 
 def test_modes_arithmetic_lam5():
@@ -175,3 +180,72 @@ def test_station_beyond_grid_rejected(nl_cubic):
     gs_small = sp.solve_ground_state(nl_cubic, 1.0, R=14.0, h=2e-3)
     with pytest.raises(sp.DomainError, match="increase R"):
         sp.decaying_solution(2.0, gs_small, nl_cubic)
+
+
+def _dop853_states(pm, lam, y0, i_from, i_to):
+    """Reference sweep: adaptive DOP853 in short segments whose absolute
+    tolerance floors at 1e-17 times the segment's entry state size."""
+    def rhs(x, y):
+        a, b = pm.entries_at(x)
+        f, g, fp, gp = y
+        return (fp, gp, (pm.mu + lam - a) * f - b * g, (pm.mu - lam - a) * g - b * f)
+
+    seg = max(int(round(3.0 / math.sqrt(pm.mu) / pm.h)), 8)
+    out = np.empty((4, i_from - i_to + 1))
+    out[:, -1] = y0
+    y, hi = np.asarray(y0, dtype=float), i_from
+    while hi > i_to:
+        lo = max(hi - seg, i_to)
+        sol = solve_ivp(rhs, (pm.x[hi], pm.x[lo]), y, method="DOP853", rtol=1e-12,
+                        atol=1e-17 * float(np.max(np.abs(y))), t_eval=pm.x[lo:hi + 1][::-1])
+        assert sol.success, sol.message
+        out[:, lo - i_to:hi - i_to + 1] = sol.y[:, ::-1]
+        y, hi = sol.y[:, -1], lo
+    return out
+
+
+@pytest.mark.parametrize("lam,method", [(1.0, "reflect"), (2.0, "reflect"),
+                                        (10.0, "reflect"), (-3.0, "direct")])
+def test_sweep_matches_dop853_reference(pm_cubic, monkeypatch, lam, method):
+    """The fixed-step sweep agrees with an adaptive DOP853 sweep on the certificate's witnesses."""
+    fast = _certify_potential(pm_cubic, lam, method=method)
+    residual = sp_jost._sweep_decaying(pm_cubic, lam if method == "direct" else abs(lam)).residual
+    monkeypatch.setattr(sp_jost, "_sweep_states", _dop853_states)
+    ref = _certify_potential(pm_cubic, lam, method=method)
+    for key in ("v0", "v0p", "mismatch"):
+        assert abs(getattr(fast, key) - getattr(ref, key)) <= 1e-9 * abs(getattr(ref, key)), key
+    assert fast.verdict == ref.verdict
+    assert residual <= 1e-8
+
+
+def test_blocked_chain_matches_sequential_product(pm_cubic, monkeypatch):
+    """Block totals, entry states and in-block states reproduce step-by-step chaining,
+    across propagator chunks and a padded last block."""
+    monkeypatch.setattr(sp_jost, "PROPAGATOR_CHUNK", 97)
+    i_from, i_to, lam = 31000, 30000, 3.0        # 1000 steps: blocks of 32, the last one padded
+    y0 = np.array([1.0, -0.5, 0.25, 2.0])
+    blocked = sp_jost._sweep_states(pm_cubic, lam, y0, i_from, i_to)
+    T = sp_jost._step_propagators(pm_cubic, lam, i_to, i_from)
+    seq = np.empty((4, i_from - i_to + 1))
+    seq[:, -1] = y0
+    for i in range(i_from - i_to - 1, -1, -1):
+        seq[:, i] = T[i] @ seq[:, i + 1]
+    assert np.max(np.abs(blocked - seq)) <= 1e-13 * np.max(np.abs(seq))
+
+
+def test_sweep_overflow_is_inconclusive(gs_cubic, nl_cubic):
+    """A sweep whose growth overflows double precision fails loudly instead of
+    scoring inf/nan samples, so the scan records it as inconclusive."""
+    with pytest.raises(sp.DomainError):
+        sp.decaying_solution(600.0, gs_cubic, nl_cubic)
+    (rec,) = sp.scan_embedded(gs_cubic, nl_cubic, [600.0]).records
+    assert rec.verdict == "inconclusive" and rec.error.startswith("DomainError")
+
+
+def test_decaying_solution_accepts_rtol(pm_cubic):
+    """rtol is accepted, as benchmark probes pass it, and leaves the fixed-step sweep unchanged."""
+    sol = sp.decaying_solution(3.0, potential=pm_cubic, rtol=sp_jost.CERT_SWEEP_RTOL)
+    plain = sp.decaying_solution(3.0, potential=pm_cubic)
+    for key in ("f", "g", "fp", "gp"):
+        assert np.array_equal(getattr(sol, key), getattr(plain, key))
+    assert sol.residual <= 1e-8
