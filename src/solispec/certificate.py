@@ -354,6 +354,12 @@ def control_scan(mu: float, well_depth: float, lambdas,
                  {"family": "none (decoupled control)"})
 
 
+def _grow_coeff(lam: float, pm: PotentialMatrix, th: Thresholds) -> float:
+    """Signed growing-mode coefficient at lam; brentq gets pm as an argument, since it
+    wraps its callable in a self-referencing closure that would keep a captured pm alive."""
+    return _certify_potential(pm, lam, th).c_grow_signed
+
+
 def negative_control(mu: float, well_depth: float,
                      R: float | None = None, h: float | None = None,
                      thresholds: Thresholds | None = None) -> CertificateRecord:
@@ -376,14 +382,10 @@ def negative_control(mu: float, well_depth: float,
             f"need depth >= {s2 * (s2 + 1.0):.4f} for mu = {mu}")
     lam0 = levels[0]
     pm = decoupled_well_potential(mu, well_depth, R=R, h=h)
-
-    def grow_coeff(lam: float) -> float:
-        return _certify_potential(pm, lam, th).c_grow_signed
-
     lo = max(mu * (1.0 + 1e-9), lam0 - 0.4)
     hi = lam0 + 0.4
     grid = np.linspace(lo, hi, 17)
-    vals = [grow_coeff(l) for l in grid]
+    vals = [_grow_coeff(l, pm, th) for l in grid]
     bracket = None
     for i in range(len(grid) - 1):
         if np.isfinite(vals[i]) and np.isfinite(vals[i + 1]) and vals[i] * vals[i + 1] < 0:
@@ -393,5 +395,5 @@ def negative_control(mu: float, well_depth: float,
         raise HypothesisError(
             f"no sign change of the growing-mode coefficient near the predicted "
             f"embedded energy {lam0:.4f}; control detection failed")
-    lam_star = brentq(grow_coeff, *bracket, xtol=1e-10, rtol=1e-15)
+    lam_star = brentq(_grow_coeff, *bracket, args=(pm, th), xtol=1e-10, rtol=1e-15)
     return _certify_potential(pm, float(lam_star), th)

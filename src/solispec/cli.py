@@ -69,6 +69,10 @@ def _solve_ground(cfg: RunConfig, nl: Nonlinearity):
     return solve_ground_state(nl, cfg.mu, R=cfg.R, h=cfg.h, tol=cfg.tol_ode)
 
 
+def _thresholds(cfg: RunConfig) -> Thresholds:
+    return Thresholds(theta_cert=cfg.theta_cert, theta_mismatch=cfg.theta_mismatch)
+
+
 def cmd_ground(args) -> int:
     cfg, nl = _load(args)
     gs = _solve_ground(cfg, nl)
@@ -147,8 +151,7 @@ def cmd_scan(args) -> int:
     nl = cfg.nonlinearity()
     lmin, lmax, n = cfg.scan_grid()
     gs = _solve_ground(cfg, nl)
-    th = Thresholds(theta_cert=cfg.theta_cert, theta_mismatch=cfg.theta_mismatch)
-    report = scan_embedded(gs, nl, np.linspace(lmin, lmax, n), thresholds=th,
+    report = scan_embedded(gs, nl, np.linspace(lmin, lmax, n), thresholds=_thresholds(cfg),
                            workers=cfg.parallelism)
     _json_dump(args.out, _report_payload(report, cfg, args.stamp))
     out_csv = (args.out[:-5] if args.out.endswith(".json") else args.out) + ".csv"
@@ -179,9 +182,10 @@ def cmd_control(args) -> int:
                               levels[0] + 0.5, args.n or 41)
     else:
         lambdas = np.linspace(mu, mu + 9.0, args.n or 46)
-    report = control_scan(mu, depth, lambdas)
+    th = _thresholds(cfg)
+    report = control_scan(mu, depth, lambdas, thresholds=th)
     # a predicted level that is not located is a failed detection (exit 1)
-    candidate = negative_control(mu, depth) if levels else None
+    candidate = negative_control(mu, depth, thresholds=th) if levels else None
     _json_dump(args.out, {**_report_payload(report, cfg, args.stamp), "well_depth": depth,
                           "predicted_embedded_levels": levels,
                           "candidate": candidate.to_dict() if candidate else None})

@@ -90,7 +90,7 @@ class RunConfig:
             raise ConfigurationError(f"eigen.R must be null or positive, got {R_eig!r}")
         _require_count(c.get("parallelism", 1), "parallelism")
         try:
-            self.nonlinearity()
+            self.nonlinearity().validate()     # F' and G checked against F numerically
         except Exception as exc:
             raise ConfigurationError(f"bad nonlinearity block: {exc}") from exc
         return self

@@ -24,6 +24,9 @@ P enters at the nodes and, through its cubic spline, at the cell midpoints.
 The system is linear, so each step is a 4x4 matrix; all are built at once,
 each with its own spacing x[i+1] - x[i], because linspace spacings differ
 by ~1e-11 relative and a nominal h would put that error into every step.
+They are built from 2x2 blocks: exp(s A0) is diagonal per channel in each
+block and P only fills the bottom-left block, so a step matrix takes a few
+elementwise products of per-step arrays instead of dense 4x4 products.
 They are chained in about sqrt(n) blocks: O(sqrt(n)) Python iterations.
 
 expand_in_modes projects samples onto the four free modes over a window by
@@ -169,17 +172,8 @@ class JostSolution:
                        normalization=f"scaled by {c} from unit leading coefficient")
 
 
-def _mode_sources(pm: PotentialMatrix, mode: AsymptoticMode, xs: np.ndarray):
-    """First-order correction sources: same-channel -a*base, cross-channel -b*base."""
-    f0, g0, _, _ = mode.eval(xs)
-    base = f0 + g0                      # only one channel is populated
-    a, b = pm.entries_at(xs)
-    return -a * base, -b * base
-
-
-def _tail_with_correction(pm: PotentialMatrix, lam: float, mode: AsymptoticMode,
-                          xs: np.ndarray):
-    """Pure decaying mode plus its first-order potential correction on [x_asym, R].
+def _tail_with_correction(pm: PotentialMatrix, lam: float, mode: AsymptoticMode, i0: int):
+    """Pure decaying mode plus its first-order potential correction on the nodes x[i0:].
 
     The exponential-channel correction solves y'' - kappa^2 y = rho_exp with
     the decaying particular solution; the oscillatory-channel correction
@@ -188,7 +182,10 @@ def _tail_with_correction(pm: PotentialMatrix, lam: float, mode: AsymptoticMode,
     """
     mu = pm.mu
     kappa = mode.value
-    rho_exp, rho_osc = _mode_sources(pm, mode, xs)
+    xs = pm.x[i0:]
+    f0, g0, fp0, gp0 = mode.eval(xs)
+    base = f0 + g0                      # only one channel is populated
+    rho_exp, rho_osc = -pm.a[i0:] * base, -pm.b[i0:] * base     # same- and cross-channel
 
     # exponential channel: y = -(A + B)/(2 kappa), y' = (A - B)/2 with
     # A(x) = e^{-kx} int_{x0}^x e^{ks} rho, B(x) = e^{kx} int_x^{R} e^{-ks} rho
@@ -217,54 +214,66 @@ def _tail_with_correction(pm: PotentialMatrix, lam: float, mode: AsymptoticMode,
         y_osc = I1 - xs * I0
         yp_osc = -I0
 
-    f0, g0, fp0, gp0 = mode.eval(xs)
     if mode.channel == 0:
         return f0 + y_exp, g0 + y_osc, fp0 + yp_exp, gp0 + yp_osc
     return f0 + y_osc, g0 + y_exp, fp0 + yp_osc, gp0 + yp_exp
 
 
-def _free_propagators(mu: float, lam: float, s: np.ndarray) -> np.ndarray:
-    """exp(s A0) of the free system for each step length in s, shape (len(s), 4, 4).
+def _free_flow(mu: float, lam: float, s: np.ndarray):
+    """Per-channel entries C, S of exp(s A0) = [[C, S], [D S, C]], each shape (2, len(s)).
 
-    A channel with y'' = d y contributes [[C, S], [d S, C]]: cosh/sinh for
-    d > 0, cos/sin for d < 0, and C = 1, S = s at the threshold d = 0.
+    A channel with y'' = d y, D = diag(mu + lam, mu - lam), has C, S = cosh, sinh / r
+    for d = r^2 > 0, cos, sin / r for d = -r^2 < 0, and 1, s at the threshold d = 0.
     """
-    E = np.zeros(s.shape + (4, 4))
+    C, S = np.empty((2,) + s.shape), np.empty((2,) + s.shape)
     for c, d in enumerate((mu + lam, mu - lam)):
         if d > 0:
             r = math.sqrt(d)
-            C, S = np.cosh(r * s), np.sinh(r * s) / r
+            C[c], S[c] = np.cosh(r * s), np.sinh(r * s) / r
         elif d < 0:
             r = math.sqrt(-d)
-            C, S = np.cos(r * s), np.sin(r * s) / r
+            C[c], S[c] = np.cos(r * s), np.sin(r * s) / r
         else:
-            C, S = 1.0, s
-        E[:, c, c] = E[:, c + 2, c + 2] = C
-        E[:, c, c + 2] = S
-        E[:, c + 2, c] = d * S
-    return E
+            C[c], S[c] = 1.0, s
+    return C, S
 
 
-def _potential_part(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The potential's share of the 4-system matrix: f'' gets -a f - b g, g'' gets -b f - a g."""
-    P = np.zeros(a.shape + (4, 4))
-    P[:, 2, 0] = P[:, 3, 1] = -a
-    P[:, 2, 1] = P[:, 3, 0] = -b
-    return P
+def _sym(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The potential block V = [[a, b], [b, a]] at each node, shape (2, 2, len(a))."""
+    return np.array([[a, b], [b, a]])
+
+
+def _mul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Per-step products of 2x2 blocks stored as (2, 2, n) arrays."""
+    return np.einsum("ijn,jkn->ikn", A, B)
 
 
 def _step_propagators(pm: PotentialMatrix, lam: float, lo: int, hi: int) -> np.ndarray:
-    """Lawson RK4 propagators from x[i+1] back to x[i] for i in [lo, hi), shape (hi-lo, 4, 4)."""
+    """Lawson RK4 propagators from x[i+1] back to x[i] for i in [lo, hi), shape (hi-lo, 4, 4).
+
+    In 2x2 blocks of y = (q, p): exp(s A0) = [[C, S], [D S, C]] with diagonal
+    per-channel C, S, D, and P = [[0, 0], [-V, 0]]. So the stages K2..K4 have
+    a zero top half, K3 = Pm Eh, and each block of the step matrix is a few
+    products of per-step 2x2 blocks (trailing axis: the step).
+    """
     s = pm.x[lo:hi] - pm.x[lo + 1:hi + 1]       # negative; each step its own length
-    Eh, Ef = _free_propagators(pm.mu, lam, 0.5 * s), _free_propagators(pm.mu, lam, s)
-    s = s[:, None, None]
+    Ch, Sh = _free_flow(pm.mu, lam, 0.5 * s)
+    Cf, Sf = _free_flow(pm.mu, lam, s)
     am, bm = pm.midpoint_entries
-    P0 = _potential_part(pm.a[lo + 1:hi + 1], pm.b[lo + 1:hi + 1])
-    Pm = _potential_part(am[lo:hi], bm[lo:hi])
-    K2 = Pm @ Eh @ (np.eye(4) + 0.5 * s * P0)
-    K3 = Pm @ (Eh + 0.5 * s * K2)
-    K4 = _potential_part(pm.a[lo:hi], pm.b[lo:hi]) @ (Ef + s * (Eh @ K3))
-    return Ef + s / 6.0 * (Ef @ P0 + 2.0 * (Eh @ (K2 + K3)) + K4)
+    V0 = _sym(pm.a[lo + 1:hi + 1], pm.b[lo + 1:hi + 1])
+    Vm, V1 = _sym(am[lo:hi], bm[lo:hi]), _sym(pm.a[lo:hi], pm.b[lo:hi])
+    eye, c = np.eye(2)[:, :, None], s / 6.0
+    F, G = Vm * Ch, Vm * Sh                     # bottom half of K3 = Pm Eh is -[F, G]
+    L = 0.5 * s * _mul(G, V0) - 2.0 * F         # bottom half of K2 + K3 is [L, -2 G]
+    K4l = _mul(V1, s * Sh[:, None] * F - eye * Cf)  # bottom half of K4 = P1 (Ef + s Eh K3)
+    K4r = _mul(V1, s * Sh[:, None] * G - eye * Sf)
+    dSf = np.array([[pm.mu + lam], [pm.mu - lam]]) * Sf
+    T = np.empty((4, 4, len(s)))                # Ef + s/6 (Ef P0 + 2 Eh (K2 + K3) + K4)
+    T[:2, :2] = eye * Cf + c * (2.0 * Sh[:, None] * L - Sf[:, None] * V0)
+    T[:2, 2:] = eye * Sf - 4.0 * c * Sh[:, None] * G
+    T[2:, :2] = eye * dSf + c * (2.0 * Ch[:, None] * L - Cf[:, None] * V0 + K4l)
+    T[2:, 2:] = eye * Cf + c * (K4r - 4.0 * Ch[:, None] * G)
+    return T.transpose(2, 0, 1)
 
 
 def _sweep_states(pm: PotentialMatrix, lam: float, y0, i_from: int, i_to: int) -> np.ndarray:
@@ -278,6 +287,7 @@ def _sweep_states(pm: PotentialMatrix, lam: float, y0, i_from: int, i_to: int) -
     n = i_from - i_to
     m = math.isqrt(n - 1) + 1                   # block length, ceil(sqrt(n))
     nb = -(-n // m)
+    pm.midpoint_entries                         # a first use builds the spline: do it before T
     T = np.empty((nb * m, 4, 4))                # step k maps node i_from - k to i_from - k - 1
     T[n:] = np.eye(4)
     for k in range(0, n, PROPAGATOR_CHUNK):
@@ -302,7 +312,7 @@ def _sweep_states(pm: PotentialMatrix, lam: float, y0, i_from: int, i_to: int) -
 
 
 def _rel_residual(pm: PotentialMatrix, lam: float, x, f, g, fp, gp) -> float:
-    """Sixth-order-stencil relative residual of the 4-system on interior nodes."""
+    """Sixth-order-stencil relative residual of the 4-system on interior nodes (of pm's grid)."""
     h = float(x[1] - x[0])
     if len(x) < 15:
         return float("nan")
@@ -314,7 +324,8 @@ def _rel_residual(pm: PotentialMatrix, lam: float, x, f, g, fp, gp) -> float:
         return out / (h * h)
 
     sl = slice(3, -3)
-    a, b = pm.entries_at(x[sl])
+    i0 = int(np.searchsorted(pm.x, x[0] - 0.5 * pm.h)) + 3
+    a, b = pm.a[i0:i0 + len(x) - 6], pm.b[i0:i0 + len(x) - 6]
     r1 = d2(f) - (pm.mu + lam - a) * f[sl] + b * g[sl]
     r2 = d2(g) - (pm.mu - lam - a) * g[sl] + b * f[sl]
     s = math.sqrt(pm.mu + abs(lam))
@@ -339,7 +350,7 @@ def _sweep_decaying(pm: PotentialMatrix, lam: float, x_stop: float | None = None
         raise DomainError(f"x_stop = {x_stop} must lie left of the station x_asym = {x_asym}")
 
     xs_tail = pm.x[i_asym:]
-    f_t, g_t, fp_t, gp_t = _tail_with_correction(pm, lam, mode, xs_tail)
+    f_t, g_t, fp_t, gp_t = _tail_with_correction(pm, lam, mode, i_asym)
     y0 = np.array([f_t[0], g_t[0], fp_t[0], gp_t[0]])
 
     swept = _sweep_states(pm, lam, y0, i_asym, i_stop)

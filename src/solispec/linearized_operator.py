@@ -81,19 +81,23 @@ class PotentialMatrix:
         """(a, b) at the cell midpoints, the samples every sweep reads; built at the first."""
         return self.entries_at(0.5 * (self.x[:-1] + self.x[1:]))
 
-    def negligible_from(self, threshold: float) -> float:
-        """Smallest station x >= 0 with max(|a|,|b|) <= threshold for all |t| >= x."""
+    @cached_property
+    def _sup_envelope(self) -> np.ndarray:
+        """sup of max(|a|, |b|) over |t| >= x at the nodes x >= 0; built at the first use."""
         mag = np.maximum(np.abs(self.a), np.abs(self.b))
-        n = len(self.x)
-        mid = (n - 1) // 2
+        mid = (len(self.x) - 1) // 2
         right = np.maximum.accumulate(mag[::-1])[::-1]          # sup over t >= x
         left = np.maximum.accumulate(mag)                       # sup over t <= x
-        ok = (right[mid:] <= threshold) & (left[mid::-1] <= threshold)
-        idx = np.nonzero(ok)[0]
+        return np.maximum(right[mid:], left[mid::-1])
+
+    def negligible_from(self, threshold: float) -> float:
+        """Smallest station x >= 0 with max(|a|,|b|) <= threshold for all |t| >= x."""
+        env = self._sup_envelope
+        idx = np.nonzero(env <= threshold)[0]
         if idx.size == 0:
             raise DomainError(
                 f"potential never falls below {threshold:.1e} on this grid; increase R")
-        return float(self.x[mid + idx[0]])
+        return float(self.x[-len(env):][idx[0]])
 
 
 @dataclass(frozen=True)

@@ -181,6 +181,29 @@ def test_control_mu_override_ignores_scan_block(tmp_path):
     assert abs(payload["candidate"]["lambda"] - 7.0) <= 0.05
 
 
+def test_control_reads_thresholds_from_config(tmp_path):
+    """control certifies with the config's tolerances, which its config_hash covers."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"tolerances": {"theta_mismatch": 0.5}}))
+    out = str(tmp_path / "control.json")
+    assert main(["control", "--config", str(path), "--depth", "0.1", "--n", "3",
+                 "--out", out]) == 0
+    payload = json.loads((tmp_path / "control.json").read_text())
+    assert payload["thresholds"]["theta_mismatch"] == 0.5
+    assert payload["thresholds"]["theta_cert"] == 1e-3
+
+
+def test_scan_failed_nonlinearity_check_exits_2(tmp_path, cfg_path, capsys, monkeypatch):
+    """A nonlinearity whose F' or G fails its numerical check is a configuration error."""
+    def broken(self, *args, **kwargs):
+        raise solispec.DomainError("F' disagrees with centered differences by 1.0e+00")
+    monkeypatch.setattr(solispec.Nonlinearity, "validate", broken)
+    out = str(tmp_path / "r.json")
+    assert main(["scan", "--config", cfg_path, "--out", out]) == 2
+    assert "bad nonlinearity block" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize("over", [[], ["--lmin", "1.5", "--lmax", "3.0", "--n", "2"]])
 def test_scan_non_object_block_exits_2(tmp_path, capsys, over):
     path = tmp_path / "cfg.json"

@@ -233,6 +233,68 @@ def test_blocked_chain_matches_sequential_product(pm_cubic, monkeypatch):
     assert np.max(np.abs(blocked - seq)) <= 1e-13 * np.max(np.abs(seq))
 
 
+def _dense_lawson(pm, lam, lo, hi):
+    """Reference: the Lawson RK4 step matrices from dense 4x4 products, shape (hi-lo, 4, 4)."""
+    def free(s):
+        E = np.zeros(s.shape + (4, 4))
+        for c, d in enumerate((pm.mu + lam, pm.mu - lam)):
+            r = math.sqrt(abs(d))
+            if d > 0:
+                C, S = np.cosh(r * s), np.sinh(r * s) / r
+            elif d < 0:
+                C, S = np.cos(r * s), np.sin(r * s) / r
+            else:
+                C, S = 1.0, s
+            E[:, c, c] = E[:, c + 2, c + 2] = C
+            E[:, c, c + 2] = S
+            E[:, c + 2, c] = d * S
+        return E
+
+    def potential(a, b):
+        P = np.zeros(a.shape + (4, 4))
+        P[:, 2, 0] = P[:, 3, 1] = -a
+        P[:, 2, 1] = P[:, 3, 0] = -b
+        return P
+
+    s = pm.x[lo:hi] - pm.x[lo + 1:hi + 1]
+    Eh, Ef = free(0.5 * s), free(s)
+    s = s[:, None, None]
+    am, bm = (e[lo:hi] for e in pm.midpoint_entries)
+    P0, Pm = potential(pm.a[lo + 1:hi + 1], pm.b[lo + 1:hi + 1]), potential(am, bm)
+    K2 = Pm @ Eh @ (np.eye(4) + 0.5 * s * P0)
+    K3 = Pm @ (Eh + 0.5 * s * K2)
+    K4 = potential(pm.a[lo:hi], pm.b[lo:hi]) @ (Ef + s * (Eh @ K3))
+    return Ef + s / 6.0 * (Ef @ P0 + 2.0 * (Eh @ (K2 + K3)) + K4)
+
+
+@pytest.mark.parametrize("lam", [1.0, 2.0, 10.0, -3.0])
+@pytest.mark.parametrize("well", [False, True])
+def test_step_propagators_match_dense_lawson(pm_cubic, lam, well):
+    """The 2x2-block step matrices equal the dense 4x4 Lawson RK4 formula, at the
+    threshold, above it, far above it and on the direct negative branch, for a
+    coupled (cubic) and a decoupled (b = 0) potential."""
+    pm = sp.decoupled_well_potential(1.0, 6.0, R=25.0, h=2e-3) if well else pm_cubic
+    mid = (len(pm.x) - 1) // 2
+    lo, hi = mid - 3000, mid + 1500                 # across the well
+    T = sp_jost._step_propagators(pm, lam, lo, hi)
+    ref = _dense_lawson(pm, lam, lo, hi)
+    assert T.shape == ref.shape == (hi - lo, 4, 4)
+    assert np.max(np.abs(T - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_residual_reads_potential_at_nodes(pm_cubic, jost_cubic_2):
+    """The spline equals the samples at the nodes, so the residual read off pm.a, pm.b
+    is exactly the one read from the spline, also for a run of nodes at an offset."""
+    sol, i, j = jost_cubic_2, 12345, 23456
+    x = sol.x[i:j]
+    a, b = pm_cubic.entries_at(x)
+    spline_read = sp.PotentialMatrix(x=x, mu=pm_cubic.mu, a=a, b=b)
+    args = (sol.lam, x, sol.f[i:j], sol.g[i:j], sol.fp[i:j], sol.gp[i:j])
+    res = sp_jost._rel_residual(pm_cubic, *args)
+    assert res == sp_jost._rel_residual(spline_read, *args)
+    assert res <= 1e-8
+
+
 def test_sweep_overflow_is_inconclusive(gs_cubic, nl_cubic):
     """A sweep whose growth overflows double precision fails loudly instead of
     scoring inf/nan samples, so the scan records it as inconclusive."""
