@@ -345,10 +345,9 @@ def sech_well_levels(mu: float, depth: float) -> list[float]:
 
 
 def control_scan(mu: float, well_depth: float, lambdas,
-                 R: float | None = None, h: float | None = None,
                  thresholds: Thresholds | None = None) -> ScanReport:
     """Run the certificate machinery on the decoupled sech^2-well operator."""
-    pm = decoupled_well_potential(mu, well_depth, R=R, h=h)
+    pm = decoupled_well_potential(mu, well_depth)
     return _scan(pm, lambdas, thresholds, 1,
                  {"mu": mu, "R": pm.R, "h": pm.h, "potential": pm.provenance},
                  {"family": "none (decoupled control)"})
@@ -361,7 +360,6 @@ def _grow_coeff(lam: float, pm: PotentialMatrix, th: Thresholds) -> float:
 
 
 def negative_control(mu: float, well_depth: float,
-                     R: float | None = None, h: float | None = None,
                      thresholds: Thresholds | None = None) -> CertificateRecord:
     """Locate the genuine embedded eigenvalue of the decoupled control operator.
 
@@ -381,7 +379,7 @@ def negative_control(mu: float, well_depth: float,
             f"well depth {well_depth} puts no bound state at or beyond lambda = mu; "
             f"need depth >= {s2 * (s2 + 1.0):.4f} for mu = {mu}")
     lam0 = levels[0]
-    pm = decoupled_well_potential(mu, well_depth, R=R, h=h)
+    pm = decoupled_well_potential(mu, well_depth)
     lo = max(mu * (1.0 + 1e-9), lam0 - 0.4)
     hi = lam0 + 0.4
     grid = np.linspace(lo, hi, 17)

@@ -24,9 +24,20 @@ DEFAULTS: dict = {
 }
 
 
-def _require_count(val, name: str):
-    if not isinstance(val, int) or val < 1:
-        raise ConfigurationError(f"{name} must be an integer >= 1, got {val!r}")
+def _require_count(val, name: str, least: int = 1):
+    if isinstance(val, bool) or not isinstance(val, int) or val < least:
+        raise ConfigurationError(f"{name} must be an integer >= {least}, got {val!r}")
+
+
+def _is_number(val) -> bool:
+    """A finite JSON number, not a boolean."""
+    return isinstance(val, (int, float)) and not isinstance(val, bool) and math.isfinite(val)
+
+
+def _require_number(val, name: str, positive: bool = False):
+    if not _is_number(val) or (positive and val <= 0):
+        kind = "a positive number" if positive else "a finite number"
+        raise ConfigurationError(f"{name} must be {kind}, got {val!r}")
 
 
 def _merge(base: dict, override: dict) -> dict:
@@ -64,30 +75,35 @@ class RunConfig:
             if isinstance(val, dict) and not isinstance(c.get(key), dict):
                 raise ConfigurationError(f"{key} must be a JSON object, got {c.get(key)!r}")
         mu = c.get("mu")
-        if not isinstance(mu, (int, float)) or mu <= 0:
-            raise ConfigurationError(f"mu must be a positive number, got {mu!r}")
-        grid = c.get("grid", {})
-        R = grid.get("R")
-        if R is not None:
-            if R <= 0:
-                raise ConfigurationError(f"grid.R must be positive, got {R}")
-            if R * math.sqrt(mu) < 20.0:
-                warnings.warn(f"R*sqrt(mu) = {R * math.sqrt(mu):.1f} < 20; "
-                              "far-field fits may be unreliable", stacklevel=2)
-        h = grid.get("h")
-        if h is not None and h <= 0:
-            raise ConfigurationError(f"grid.h must be positive, got {h}")
-        scan = c.get("scan", {})
+        _require_number(mu, "mu", positive=True)
+        for key in ("R", "h"):
+            if c["grid"].get(key) is not None:
+                _require_number(c["grid"][key], f"grid.{key}", positive=True)
+        R = c["grid"].get("R")
+        if R is not None and R * math.sqrt(mu) < 20.0:
+            warnings.warn(f"R*sqrt(mu) = {R * math.sqrt(mu):.1f} < 20; "
+                          "far-field fits may be unreliable", stacklevel=2)
+        for key in DEFAULTS["tolerances"]:
+            _require_number(c["tolerances"].get(key), f"tolerances.{key}", positive=True)
+        scan = c["scan"]
         _require_count(scan.get("n"), "scan.n")
         lmin, lmax = scan.get("lmin"), scan.get("lmax")
-        if lmin is None or lmax is None or lmin > lmax:
+        _require_number(lmin, "scan.lmin")
+        _require_number(lmax, "scan.lmax")
+        if lmin > lmax:
             raise ConfigurationError(f"scan needs lmin <= lmax, got [{lmin}, {lmax}]")
-        eigen = c.get("eigen", {})
-        for key in ("n", "k"):
-            _require_count(eigen.get(key), f"eigen.{key}")
-        R_eig = eigen.get("R")
-        if R_eig is not None and not (isinstance(R_eig, (int, float)) and R_eig > 0):
-            raise ConfigurationError(f"eigen.R must be null or positive, got {R_eig!r}")
+        eigen = c["eigen"]
+        # five points put two cells on each side of the origin, so h < R on the eigen grid
+        _require_count(eigen.get("n"), "eigen.n", least=5)
+        _require_count(eigen.get("k"), "eigen.k")
+        if eigen.get("R") is not None:
+            _require_number(eigen["R"], "eigen.R", positive=True)
+        window = eigen.get("window")
+        if window is not None and not (isinstance(window, list) and len(window) == 2
+                                       and all(map(_is_number, window))
+                                       and -mu < window[0] < window[1] < mu):
+            raise ConfigurationError(
+                f"eigen.window must be null or [lo, hi] with -mu < lo < hi < mu, got {window!r}")
         _require_count(c.get("parallelism", 1), "parallelism")
         try:
             self.nonlinearity().validate()     # F' and G checked against F numerically

@@ -4,17 +4,17 @@ Solves Q'' - mu*Q + F(Q^2)*Q = 0 on a symmetric uniform grid for the
 ground-state profile: Q even, Q > 0, Q' < 0 on (0, R], with far field
 Q(x) ~ c0 * exp(-sqrt(mu) * x).
 
-Method. Shoot from x = 0 with Q'(0) = 0 and bisect on Q(0) between the
-overshoot branch (Q crosses zero) and the undershoot branch (Q turns back
-up). The bisection is seeded from the conserved quantity
-Q'^2 - mu*Q^2 + G(Q^2), whose vanishing at x = 0 pins Q(0) algebraically.
-Outward shooting alone cannot hold the profile to better than roughly
-1e-8 near the tail (errors ride the growing mode), so the profile is then
-polished: a single secant iteration on the tail amplitude c integrates the
-pure far field c*exp(-sqrt(mu)*x) backward from a trust point x_far down to
-0, enforcing the evenness condition Q'(0) = 0. Backward integration is the
-contracting direction, so the polished samples are accurate to integrator
-tolerance. Beyond x_far the samples are the fitted exponential itself.
+Method. Up to translation, the profile is the one orbit that leaves the far
+field along c*exp(-sqrt(mu)*x) (Berestycki & Lions, ARMA 82, 1983); its
+peak Q(0)^2 is the first positive root of G(s) = mu*s, whose existence is
+checked first. A backward DOP853 sweep from the pure far field at the tail
+anchor x_far traces that orbit down to its turning point Q' = 0 at some
+x_e. The equation is autonomous, so scaling c by exp(-sqrt(mu)*x_e)
+translates the orbit until the turning point sits at the origin, which is
+the evenness condition Q'(0) = 0; one or two sweeps fix c. A final sweep
+samples the profile on the grid. Backward integration is the contracting
+direction, so the samples are accurate to integrator tolerance. Beyond
+x_far the samples are the exponential tail itself.
 """
 
 from __future__ import annotations
@@ -33,9 +33,11 @@ from .nonlinearity import Nonlinearity
 
 R_FACTOR = 30.0          # default half-width: R = 30 / sqrt(mu)
 H_FACTOR = 1e-3          # default spacing:    h = 1e-3 / sqrt(mu)
-X_FAR_FACTOR = 12.0      # tail anchor for the backward polish
-EVENT_SETBACK = 4.0      # keep x_far this far inside the clean region
+X_FAR_FACTOR = 12.0      # tail anchor of the backward sweeps
 MIN_X_FAR = 6.0          # below this the far field is not asymptotic yet
+TURN_TOL = 1e-9          # sqrt(mu)*|x_e| small enough that the next translation is negligible
+MAX_SWEEPS = 6           # translated backward sweeps before giving up
+FIT_RESIDUAL_WARN = 1e-3  # far_field_fit warns above this log-fit residual
 
 
 class FarFieldFit(NamedTuple):
@@ -49,10 +51,11 @@ class GroundState:
     """Sampled ground-state profile on a symmetric uniform grid.
 
     Arrays cover [-R, R] with spacing h; Q is even and Qp = Q' is odd.
-    Samples with x > x_replace are the exponential tail
-    tail_amplitude * exp(-tail_rate * x) spliced C^1 at x_replace.
-    c0 and rate come from a log-linear far-field fit of the raw samples
-    and double as decay diagnostics. ode_residual is measured with the
+    shoot_value is Q(0), where the backward sweep turns; the name is kept
+    because reports carry it. Samples with x > x_replace are the
+    exponential tail tail_amplitude * exp(-tail_rate * x) spliced C^1 at
+    x_replace. c0 and rate come from a log-linear far-field fit of the raw
+    samples and double as decay diagnostics. ode_residual is measured with the
     second-order centered stencil, so it converges at order 2 under grid
     refinement (the adaptive integrator itself contributes no h dependence).
     """
@@ -94,35 +97,13 @@ def _rhs(nl: Nonlinearity, mu: float):
     return rhs
 
 
-def _events():
-    def hit_zero(_x, y):
-        return y[0]
-
-    hit_zero.terminal = True
-    hit_zero.direction = -1.0
-
-    def turn_up(_x, y):
-        return y[1]
-
-    turn_up.terminal = True
-    turn_up.direction = 1.0
-
-    return hit_zero, turn_up
+def _turn(_x, y):
+    """Q' = 0: a backward sweep from the tail has reached the maximum of Q."""
+    return y[1]
 
 
-def _first_event(sol, x_end: float):
-    """'high' with the zero crossing, else 'low' with the turning point or x_end."""
-    for kind, hits in zip(("high", "low"), sol.t_events):
-        if hits.size:
-            return kind, float(hits[0])
-    return "low", float(x_end)
-
-
-def _classify(nl, mu, q0, R, rtol=1e-11):
-    """Classify a shot: 'high' crosses zero, 'low' turns back up."""
-    sol = solve_ivp(_rhs(nl, mu), (0.0, R), [q0, 0.0], method="DOP853",
-                    rtol=rtol, atol=1e-14 * q0, events=_events(), dense_output=False)
-    return _first_event(sol, sol.t[-1])
+_turn.terminal = True
+_turn.direction = 1.0       # Q' rises through 0 as x decreases past the peak
 
 
 def _shoot_seed(nl, mu):
@@ -147,67 +128,6 @@ def _shoot_seed(nl, mu):
                                "nonlinearity does not vanish fast enough at 0")
     s_star = brentq(phi, grid[i - 1], grid[i], xtol=1e-300, rtol=1e-15)
     return math.sqrt(s_star)
-
-
-def _bisect_shoot(nl, mu, q0_seed, R):
-    lo = q0_seed * (1.0 - 1e-3)
-    hi = q0_seed * (1.0 + 1e-3)
-    for _ in range(12):
-        if _classify(nl, mu, lo, R)[0] == "low":
-            break
-        lo *= 0.98
-    else:
-        raise GroundStateError("could not establish the undershoot side of the bracket")
-    for _ in range(12):
-        if _classify(nl, mu, hi, R)[0] == "high":
-            break
-        hi *= 1.02
-    else:
-        raise GroundStateError("could not establish the overshoot side of the bracket")
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            break
-        if _classify(nl, mu, mid, R)[0] == "high":
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 8 * np.finfo(float).eps * hi:
-            break
-    return 0.5 * (lo + hi)
-
-
-def _polish_tail_amplitude(nl, mu, c_seed, x_far, q_scale, rtol=1e-13):
-    """Secant on the tail amplitude so the backward sweep lands on Q'(0) = 0."""
-    sq = math.sqrt(mu)
-    rhs = _rhs(nl, mu)
-    atol = 1e-16 * q_scale
-
-    def qp_at_zero(c):
-        q = c * math.exp(-sq * x_far)
-        sol = solve_ivp(rhs, (x_far, 0.0), [q, -sq * q], method="DOP853",
-                        rtol=rtol, atol=atol)
-        if not sol.success:
-            raise GroundStateError(f"backward polish integration failed: {sol.message}")
-        return float(sol.y[1, -1])
-
-    c_a, c_b = c_seed, c_seed * (1.0 + 1e-6)
-    f_a, f_b = qp_at_zero(c_a), qp_at_zero(c_b)
-    target = 1e-13 * sq * q_scale
-    for _ in range(30):
-        if abs(f_b) <= target or f_b == f_a:
-            break
-        c_next = c_b - f_b * (c_b - c_a) / (f_b - f_a)
-        if not (0.0 < c_next < 1e12 * c_seed) or not math.isfinite(c_next):
-            raise GroundStateError("backward polish diverged while matching evenness at 0")
-        c_a, f_a = c_b, f_b
-        c_b, f_b = c_next, qp_at_zero(c_next)
-        if abs(c_b - c_a) <= 4 * np.finfo(float).eps * abs(c_b):
-            break
-    if abs(f_b) > 1e4 * target:
-        raise GroundStateError(
-            f"backward polish stalled: |Q'(0)| = {abs(f_b):.3e} after secant iteration")
-    return c_b
 
 
 def _logfit(x, y):
@@ -242,41 +162,46 @@ def solve_ground_state(nl: Nonlinearity, mu: float, R: float | None = None,
     if R * sq < 10.0:
         raise GroundStateError(f"R*sqrt(mu) = {R * sq:.2f} is too small to reach the far field")
 
-    q0_seed = _shoot_seed(nl, mu)
-    q0 = _bisect_shoot(nl, mu, q0_seed, R)
-
-    # one clean forward pass to locate where the shot stops tracking the profile
-    fwd = solve_ivp(_rhs(nl, mu), (0.0, R), [q0, 0.0], method="DOP853",
-                    rtol=1e-12, atol=1e-14 * q0, events=_events(), dense_output=True)
-    x_event = _first_event(fwd, R)[1]
-
-    x_far = min(X_FAR_FACTOR / sq, x_event - EVENT_SETBACK / sq, R - 2.0 / sq)
-    if x_far < MIN_X_FAR / sq:
-        raise GroundStateError(
-            f"usable decay window ends at x = {x_event:.2f}; increase R or check the nonlinearity")
+    q0 = _shoot_seed(nl, mu)
+    x_far = min(X_FAR_FACTOR / sq, R - 2.0 / sq)
     i_far = int(round(x_far / h))
+    if i_far < 10:
+        raise DomainError(f"h = {h} leaves fewer than 10 grid points on [0, x_far = {x_far:.3g}]")
     x_far = i_far * h
+    rhs = _rhs(nl, mu)
 
-    c_seed = float(fwd.sol(x_far)[0]) * math.exp(sq * x_far)
-    if c_seed <= 0:
-        raise GroundStateError("forward shot is not positive at the tail anchor")
-    c_tail = _polish_tail_amplitude(nl, mu, c_seed, x_far, q0)
+    def sweep(c, x_end, **kwargs):
+        """Backward sweep of the far field c*exp(-sqrt(mu)*x) from x_far to x_end."""
+        q = c * math.exp(-sq * x_far)
+        sol = solve_ivp(rhs, (x_far, x_end), [q, -sq * q], method="DOP853",
+                        rtol=1e-13, atol=1e-16 * q0, **kwargs)
+        if not sol.success:
+            raise GroundStateError(f"backward sweep failed: {sol.message}")
+        return sol
 
-    # final stabilized sweep from the tail anchor down to 0, sampled on the grid
+    # move the turning point x_e to the origin: c -> c*exp(-sqrt(mu)*x_e); starting
+    # from c = Q(0), the first turning point lies a few decay lengths from the origin
+    c_tail = q0
+    for _ in range(MAX_SWEEPS):
+        turns = sweep(c_tail, -R, events=_turn).t_events[0]
+        if not turns.size:
+            raise GroundStateError(
+                f"backward sweep from the tail never turns (Q' = 0) on [-R, {x_far:.2f}]; "
+                "the decaying orbit is not homoclinic")
+        c_tail *= math.exp(-sq * turns[0])
+        if sq * abs(turns[0]) <= TURN_TOL:
+            break
+    else:
+        raise GroundStateError(
+            f"turning point still at x = {turns[0]:.3e} after {MAX_SWEEPS} backward sweeps; "
+            f"the tail anchor x = {x_far:.2f} is not in the far field of this profile")
+
+    # final sweep from the tail anchor down to 0, sampled on the grid
     x_half = np.arange(n + 1) * h
-    q_anchor = c_tail * math.exp(-sq * x_far)
-    back = solve_ivp(_rhs(nl, mu), (x_far, 0.0), [q_anchor, -sq * q_anchor],
-                     method="DOP853", rtol=1e-13, atol=1e-16 * q0,
-                     t_eval=x_half[: i_far + 1][::-1])
-    if not back.success:
-        raise GroundStateError(f"final backward sweep failed: {back.message}")
-    Q_half = np.empty(n + 1)
-    Qp_half = np.empty(n + 1)
-    Q_half[: i_far + 1] = back.y[0][::-1]
-    Qp_half[: i_far + 1] = back.y[1][::-1]
+    back = sweep(c_tail, 0.0, t_eval=x_half[: i_far + 1][::-1])
     tail = c_tail * np.exp(-sq * x_half[i_far + 1:])
-    Q_half[i_far + 1:] = tail
-    Qp_half[i_far + 1:] = -sq * tail
+    Q_half = np.concatenate([back.y[0][::-1], tail])
+    Qp_half = np.concatenate([back.y[1][::-1], -sq * tail])
     Qp_half[0] = 0.0
 
     if not np.all(Q_half > 0):
@@ -285,16 +210,14 @@ def solve_ground_state(nl: Nonlinearity, mu: float, R: float | None = None,
         raise GroundStateError("computed profile is not strictly decreasing on (0, R]; "
                                "the even decaying branch was not reached")
 
-    fi = np.abs(Qp_half**2 - mu * Q_half**2 + nl.G(Q_half**2))
-    fi_max = float(fi.max())
+    fi_max = float(np.max(np.abs(Qp_half**2 - mu * Q_half**2 + nl.G(Q_half**2))))
     if fi_max > tol:
         raise GroundStateError(
             f"conserved-quantity residual {fi_max:.3e} exceeds tol = {tol:.1e}; "
             "refine the grid or loosen tol")
 
     # far-field diagnostics from the raw (pre-splice) samples
-    i_lo = max(int(round((x_far - 6.0 / sq) / h)), int(round(MIN_X_FAR / sq / h)))
-    i_lo = min(i_lo, i_far - 10)
+    i_lo = min(int(round(MIN_X_FAR / sq / h)), i_far - 10)
     c0, rate, fit_res = _logfit(x_half[i_lo:i_far + 1], Q_half[i_lo:i_far + 1])
     if abs(rate - sq) > 0.05 * sq:
         raise HypothesisError(
@@ -316,7 +239,7 @@ def solve_ground_state(nl: Nonlinearity, mu: float, R: float | None = None,
 
 
 def far_field_fit(gs: GroundState, window: tuple[float, float],
-                  component: str = "Q", residual_warn: float = 1e-3) -> FarFieldFit:
+                  component: str = "Q") -> FarFieldFit:
     """Log-linear fit of the decay on a window: y ~ amplitude * exp(-rate*x).
 
     component 'Q' fits the profile itself; 'Qp' fits -Q' (whose amplitude
@@ -339,7 +262,7 @@ def far_field_fit(gs: GroundState, window: tuple[float, float],
     if np.any(y <= 10 * np.finfo(float).eps):
         raise DomainError("profile does not stay above rounding level on the fit window")
     c, rate, resid = _logfit(gs.x[mask], y)
-    if resid > residual_warn:
+    if resid > FIT_RESIDUAL_WARN:
         warnings.warn(f"far-field fit residual {resid:.2e} is large; "
                       "the window may be too close to the origin", stacklevel=2)
     return FarFieldFit(c, rate, resid)

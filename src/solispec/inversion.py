@@ -33,6 +33,7 @@ from .ground_state import GroundState
 from .linearized_operator import _normalize_sign
 
 RATE_MARGIN = 1e-3     # required excess of the input decay rate over sqrt(mu)
+WALL_MARGIN = 5.0      # fixed_point_residual skips [R - 5, R], next to the tail closure
 
 
 def _reverse_cumsimp(y: np.ndarray, h: float) -> np.ndarray:
@@ -104,18 +105,18 @@ def invert_L(sign, gs: GroundState, v: np.ndarray, x0: float = 1.0):
 
 
 def fixed_point_residual(gs: GroundState, u: np.ndarray, v: np.ndarray,
-                         lam: float, x0: float = 1.0, margin: float = 5.0):
-    """Sup-norm residuals of the coupled inversion identities on [x0, R - margin].
+                         lam: float, x0: float = 1.0):
+    """Sup-norm residuals of the coupled inversion identities on [x0, R - 5].
 
     For the components u = f+g, v = f-g of the decaying solution at energy
     lam, both residuals vanish up to quadrature and sampling error. Returns
     (r_u, r_v).
     """
-    if margin < 0 or x0 + margin >= gs.R:
-        raise DomainError(f"margin {margin} leaves no room on [x0, R]")
+    if x0 + WALL_MARGIN >= gs.R:
+        raise DomainError(f"x0 = {x0} leaves no room on [x0, R - {WALL_MARGIN}]")
     xs, inv_plus_v = invert_L(+1, gs, v, x0)
     _, inv_minus_u = invert_L(-1, gs, u, x0)
-    keep = xs <= gs.R - margin
+    keep = xs <= gs.R - WALL_MARGIN
     i0 = int(round((x0 + gs.R) / gs.h))
     u_sub = np.asarray(u, dtype=float)[i0:]
     v_sub = np.asarray(v, dtype=float)[i0:]

@@ -51,6 +51,7 @@ V_NEGLIGIBLE = 1e-14        # station threshold for imposing pure-mode data
 CERT_SWEEP_RTOL = 1e-12     # decaying_solution(rtol=...) accepts it; the sweep ignores it
 PROPAGATOR_CHUNK = 4096     # steps whose propagators are built together
 THRESHOLD_REL = 1e-12       # |{|lambda|} - mu| below this counts as the threshold case
+COND_LIMIT = 1e8            # mode fits conditioned worse than this raise
 
 _STENCIL6 = np.array([1.0 / 90, -3.0 / 20, 3.0 / 2, -49.0 / 18, 3.0 / 2, -3.0 / 20, 1.0 / 90])
 
@@ -334,7 +335,7 @@ def _rel_residual(pm: PotentialMatrix, lam: float, x, f, g, fp, gp) -> float:
     return float(np.max(np.hypot(r1, r2) / scale))
 
 
-def _sweep_decaying(pm: PotentialMatrix, lam: float, x_stop: float | None = None) -> JostSolution:
+def _sweep_decaying(pm: PotentialMatrix, lam: float) -> JostSolution:
     """Backward sweep of the decaying solution; valid for any |lam| >= mu."""
     mu = pm.mu
     mode = asymptotic_modes(lam, mu, end=+1)[0]
@@ -345,17 +346,13 @@ def _sweep_decaying(pm: PotentialMatrix, lam: float, x_stop: float | None = None
             f"kappa * x_asym = {kappa * x_asym:.0f} underflows the tail normalization; "
             "lambda is too large for this grid")
     i_asym = int(np.searchsorted(pm.x, x_asym - 0.5 * pm.h))
-    i_stop = 0 if x_stop is None else int(np.searchsorted(pm.x, x_stop - 0.5 * pm.h))
-    if i_stop >= i_asym:
-        raise DomainError(f"x_stop = {x_stop} must lie left of the station x_asym = {x_asym}")
 
     xs_tail = pm.x[i_asym:]
     f_t, g_t, fp_t, gp_t = _tail_with_correction(pm, lam, mode, i_asym)
     y0 = np.array([f_t[0], g_t[0], fp_t[0], gp_t[0]])
 
-    swept = _sweep_states(pm, lam, y0, i_asym, i_stop)
+    swept = _sweep_states(pm, lam, y0, i_asym, 0)
 
-    x_all = pm.x[i_stop:]
     f = np.concatenate([swept[0, :-1], f_t])
     g = np.concatenate([swept[1, :-1], g_t])
     fp = np.concatenate([swept[2, :-1], fp_t])
@@ -365,8 +362,8 @@ def _sweep_decaying(pm: PotentialMatrix, lam: float, x_stop: float | None = None
     dev_num = np.hypot(f_t - (pure if mode.channel == 0 else 0.0),
                        g_t - (pure if mode.channel == 1 else 0.0))
     asym_dev = float(np.max(dev_num / pure))
-    res = _rel_residual(pm, lam, x_all, f, g, fp, gp)
-    return JostSolution(lam=float(lam), mu=mu, x=x_all, f=f, g=g, fp=fp, gp=gp,
+    res = _rel_residual(pm, lam, pm.x, f, g, fp, gp)
+    return JostSolution(lam=float(lam), mu=mu, x=pm.x, f=f, g=g, fp=fp, gp=gp,
                         x_asym=float(xs_tail[0]), mode=mode, residual=res,
                         asym_deviation=asym_dev)
 
@@ -374,7 +371,6 @@ def _sweep_decaying(pm: PotentialMatrix, lam: float, x_stop: float | None = None
 def decaying_solution(lam: float, gs: GroundState | None = None,
                       nl: Nonlinearity | None = None, *,
                       potential: PotentialMatrix | None = None,
-                      x_stop: float | None = None,
                       rtol: float | None = None) -> JostSolution:
     """The solution decaying like exp(-kappa*x) at +infinity, for lam >= mu.
 
@@ -388,11 +384,10 @@ def decaying_solution(lam: float, gs: GroundState | None = None,
         raise DomainError(
             f"decaying_solution needs lambda >= mu = {pm.mu}; for the negative branch "
             "reflect the positive-energy solution")
-    return _sweep_decaying(pm, lam, x_stop=x_stop)
+    return _sweep_decaying(pm, lam)
 
 
-def integrate_from_mode(pm: PotentialMatrix, lam: float, mode_index: int,
-                        x_stop: float | None = None) -> JostSolution:
+def integrate_from_mode(pm: PotentialMatrix, lam: float, mode_index: int) -> JostSolution:
     """Diagnostic: integrate backward from pure mode data (no correction).
 
     Useful for building independent solutions whose pairwise bilinear
@@ -401,14 +396,11 @@ def integrate_from_mode(pm: PotentialMatrix, lam: float, mode_index: int,
     modes = asymptotic_modes(lam, pm.mu, end=+1)
     mode = modes[mode_index]
     x_asym = pm.negligible_from(V_NEGLIGIBLE)
-    if x_stop is None:
-        x_stop = float(pm.x[0])
     i_asym = int(np.searchsorted(pm.x, x_asym - 0.5 * pm.h))
-    i_stop = int(np.searchsorted(pm.x, x_stop - 0.5 * pm.h))
-    xs = pm.x[i_stop:i_asym + 1]
+    xs = pm.x[:i_asym + 1]
     f0, g0, fp0, gp0 = mode.eval(xs[-1])
     y0 = np.array([float(f0), float(g0), float(fp0), float(gp0)])
-    f, g, fp, gp = _sweep_states(pm, lam, y0, i_asym, i_stop)
+    f, g, fp, gp = _sweep_states(pm, lam, y0, i_asym, 0)
     res = _rel_residual(pm, lam, xs, f, g, fp, gp)
     return JostSolution(lam=float(lam), mu=pm.mu, x=xs, f=f, g=g, fp=fp, gp=gp,
                         x_asym=float(xs[-1]), mode=mode, residual=res,
@@ -445,12 +437,11 @@ class ModeExpansion:
     x_inner: float
 
 
-def expand_in_modes(sol: JostSolution, end: int, window: tuple[float, float],
-                    cond_limit: float = 1e8) -> ModeExpansion:
+def expand_in_modes(sol: JostSolution, end: int, window: tuple[float, float]) -> ModeExpansion:
     """Fit (f, g, f', g') on a window against the four free modes at one end.
 
     The window must sit where the potential is negligible; conditioning
-    worse than cond_limit (window too short for the local oscillation)
+    worse than COND_LIMIT (window too short for the local oscillation)
     raises ConditioningError.
     """
     lo, hi = window
@@ -474,9 +465,9 @@ def expand_in_modes(sol: JostSolution, end: int, window: tuple[float, float],
     An = A / norms
     coef_n, _, _, sv = np.linalg.lstsq(An, y, rcond=None)
     cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else float("inf")
-    if cond > cond_limit:
+    if cond > COND_LIMIT:
         raise ConditioningError(
-            f"mode fit condition number {cond:.2e} exceeds {cond_limit:.0e}; "
+            f"mode fit condition number {cond:.2e} exceeds {COND_LIMIT:.0e}; "
             "the window is too short relative to the local oscillation period")
     coeffs = coef_n / norms
     ynorm = float(np.linalg.norm(y))

@@ -35,7 +35,7 @@ from scipy.linalg import eig as dense_eig
 from scipy.sparse.linalg import eigs as sparse_eigs
 
 from .errors import DomainError, GridMismatchError, SolispecError
-from .ground_state import GroundState
+from .ground_state import H_FACTOR, R_FACTOR, GroundState
 from .nonlinearity import Nonlinearity
 
 DENSE_GRID_LIMIT = 4000     # dense eigensolve up to this many grid points
@@ -43,6 +43,7 @@ WALL_MASS_LIMIT = 0.01      # discard eigenvectors carrying > 1% mass at the wal
 KERNEL_IMAG_BAND = 2.0      # x h: the O(h^2) perturbation of the double kernel
                             # block splits its eigenvalues by O(h) (square root)
 RESIDUAL_BAND = 10.0        # x h: residual gate for reported eigenpairs
+PARITY_TOL = 1e-6           # relative mismatch with the mirror image of an even/odd vector
 
 
 @dataclass(frozen=True)
@@ -150,9 +151,9 @@ def decoupled_well_potential(mu: float, depth: float, R: float | None = None,
         raise DomainError(f"mu must be positive, got {mu}")
     sq = np.sqrt(mu)
     if R is None:
-        R = 30.0 / sq
+        R = R_FACTOR / sq
     if h is None:
-        h = 1e-3 / sq
+        h = H_FACTOR / sq
     n = int(round(R / h))
     x = np.linspace(-R, R, 2 * n + 1)
     a = depth / np.cosh(x) ** 2
@@ -160,25 +161,13 @@ def decoupled_well_potential(mu: float, depth: float, R: float | None = None,
                            provenance=f"decoupled-well(depth={depth})")
 
 
-def _second_diff(y: np.ndarray, h: float, order: int = 2) -> np.ndarray:
-    """Centered second difference with homogeneous Dirichlet ghosts.
-
-    order 2 is the operator's contractual discretization; order 4 uses the
-    five-point stencil (ghosts zero beyond both walls) for refinement
-    studies.
-    """
+def _second_diff(y: np.ndarray, h: float) -> np.ndarray:
+    """Centered second difference with homogeneous Dirichlet ghosts."""
     out = np.empty_like(y)
-    if order == 2:
-        out[1:-1] = y[:-2] - 2.0 * y[1:-1] + y[2:]
-        out[0] = -2.0 * y[0] + y[1]
-        out[-1] = y[-2] - 2.0 * y[-1]
-        return out / (h * h)
-    if order == 4:
-        z = np.concatenate([[0.0, 0.0], y, [0.0, 0.0]])
-        out = (-z[:-4] + 16.0 * z[1:-3] - 30.0 * z[2:-2]
-               + 16.0 * z[3:-1] - z[4:]) / 12.0
-        return out / (h * h)
-    raise DomainError(f"stencil order must be 2 or 4, got {order}")
+    out[1:-1] = y[:-2] - 2.0 * y[1:-1] + y[2:]
+    out[0] = -2.0 * y[0] + y[1]
+    out[-1] = y[-2] - 2.0 * y[-1]
+    return out / (h * h)
 
 
 def _check_grid(pm: PotentialMatrix, arr: np.ndarray):
@@ -187,13 +176,13 @@ def _check_grid(pm: PotentialMatrix, arr: np.ndarray):
             f"grid function has shape {np.shape(arr)}, operator grid has {np.shape(pm.x)}")
 
 
-def apply_H_potential(pm: PotentialMatrix, w: GridField2, order: int = 2) -> GridField2:
+def apply_H_potential(pm: PotentialMatrix, w: GridField2) -> GridField2:
     """Matrix-free action of H on (f, g)."""
     _check_grid(pm, w.f)
     h = pm.h
     f, g = w.f, w.g
-    out_f = _second_diff(f, h, order) - pm.mu * f + pm.a * f + pm.b * g
-    out_g = -_second_diff(g, h, order) + pm.mu * g - pm.b * f - pm.a * g
+    out_f = _second_diff(f, h) - pm.mu * f + pm.a * f + pm.b * g
+    out_g = -_second_diff(g, h) + pm.mu * g - pm.b * f - pm.a * g
     return GridField2(out_f, out_g)
 
 
@@ -205,12 +194,11 @@ def _normalize_sign(sign) -> int:
     return s
 
 
-def apply_L_potential(pm: PotentialMatrix, sign, f: np.ndarray,
-                      order: int = 2) -> np.ndarray:
+def apply_L_potential(pm: PotentialMatrix, sign, f: np.ndarray) -> np.ndarray:
     """Scalar action: sign -1 (or '-') gives L_minus, sign +1 (or '+') gives L_plus."""
     _check_grid(pm, f)
     pot = (pm.a + pm.b) if _normalize_sign(sign) == 1 else (pm.a - pm.b)
-    return -_second_diff(f, pm.h, order) + pm.mu * f - pot * f
+    return -_second_diff(f, pm.h) + pm.mu * f - pot * f
 
 
 def assemble_matrix(pm: PotentialMatrix) -> sp.csr_matrix:
@@ -227,14 +215,14 @@ def assemble_matrix(pm: PotentialMatrix) -> sp.csr_matrix:
     return sp.vstack([top, bot]).tocsr()
 
 
-def _parity_tag(x: np.ndarray, vec: np.ndarray, tol: float = 1e-6) -> str:
+def _parity_tag(vec: np.ndarray) -> str:
     mirrored = vec[::-1]
     nrm = np.linalg.norm(vec)
     if nrm == 0:
         return "none"
-    if np.linalg.norm(vec - mirrored) <= tol * nrm:
+    if np.linalg.norm(vec - mirrored) <= PARITY_TOL * nrm:
         return "even"
-    if np.linalg.norm(vec + mirrored) <= tol * nrm:
+    if np.linalg.norm(vec + mirrored) <= PARITY_TOL * nrm:
         return "odd"
     return "none"
 
@@ -254,20 +242,19 @@ def _real_eigvec_candidates(lam, vec):
 
 def discrete_eigenvalues(gs: GroundState, nl: Nonlinearity,
                          window: tuple[float, float] | None = None,
-                         k: int = 16, dense_limit: int = DENSE_GRID_LIMIT,
-                         imag_band: float | None = None) -> list[EigenPair]:
+                         k: int = 16) -> list[EigenPair]:
     """Point spectrum of the discretized H inside the spectral gap.
 
     window must sit strictly inside (-mu, mu); it defaults to
-    (-0.98 mu, 0.98 mu). Grids up to dense_limit points use a dense
+    (-0.98 mu, 0.98 mu). Grids up to DENSE_GRID_LIMIT points use a dense
     eigensolve (complete within the window); larger grids fall back to
     shift-invert Arnoldi and report at most k pairs near the gap center.
 
     Discretizing the generalized kernel (a double Jordan block) splits its
     eigenvalues into real and imaginary pairs of size O(h), the square root
-    of the O(h^2) stencil perturbation; conjugate pairs within imag_band
-    (default 2 h max(1, mu)) are reported through the real and imaginary
-    parts of their eigenvectors at Re(lambda). Eigenvectors hugging the
+    of the O(h^2) stencil perturbation; conjugate pairs within 2 h max(1, mu)
+    are reported through the real and imaginary parts of their eigenvectors
+    at Re(lambda). Eigenvectors hugging the
     Dirichlet walls (> 1% mass in the outermost two cells per side) or
     failing the discretization-scale residual gate are discarded as
     truncation artifacts.
@@ -280,13 +267,12 @@ def discrete_eigenvalues(gs: GroundState, nl: Nonlinearity,
     lo, hi = window
     if not (-mu < lo < hi < mu):
         raise DomainError(f"window {window} must lie strictly inside (-{mu}, {mu})")
-    if imag_band is None:
-        imag_band = KERNEL_IMAG_BAND * h * max(1.0, mu)
+    imag_band = KERNEL_IMAG_BAND * h * max(1.0, mu)
     residual_gate = RESIDUAL_BAND * h * max(1.0, mu)
 
     H = assemble_matrix(pm)
     n = len(pm.x)
-    if n <= dense_limit:
+    if n <= DENSE_GRID_LIMIT:
         vals, vecs = dense_eig(H.toarray())
     else:
         sigma = 0.013 * mu
@@ -328,7 +314,7 @@ def discrete_eigenvalues(gs: GroundState, nl: Nonlinearity,
             if residual > residual_gate:
                 continue
             parity = "none"
-            pf, pg = _parity_tag(pm.x, f), _parity_tag(pm.x, g)
+            pf, pg = _parity_tag(f), _parity_tag(g)
             if pf == pg and pf != "none":
                 parity = pf
             pairs.append(EigenPair(lam=lam_r, w=w, residual=residual,

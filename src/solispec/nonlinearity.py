@@ -25,12 +25,15 @@ from scipy.interpolate import PchipInterpolator
 from .errors import DomainError, ExtrapolationError
 
 FAMILIES = ("power", "cubic_quintic", "saturable", "tabulated")
+CHECK_S_MAX = 10.0      # validate() probes F on (0, CHECK_S_MAX]
+CHECK_FD_H = 1e-5       # centered-difference step for the F' check
+CHECK_TOL = 1e-6        # relative tolerance of the F' and G checks
 
 
-def _as_nonneg(s, what="s"):
+def _as_nonneg(s):
     arr = np.asarray(s, dtype=float)
     if np.any(arr < 0):
-        raise DomainError(f"{what} must be nonnegative, got min {arr.min()}")
+        raise DomainError(f"s must be nonnegative, got min {arr.min()}")
     return arr
 
 
@@ -175,30 +178,30 @@ class Nonlinearity:
 
     # -- validation gate -----------------------------------------------------
 
-    def validate(self, s_max: float = 10.0, n: int = 101, fd_h: float = 1e-5,
-                 fd_tol: float = 1e-6, quad_tol: float = 1e-6) -> dict:
+    def validate(self) -> dict:
         """Check F(0) = 0, F' against centered differences and G against quadrature.
 
         Raises DomainError on failure; returns the measured residuals so
         callers can log them.
         """
+        fd_h, s_max = CHECK_FD_H, CHECK_S_MAX
         if self.family == "tabulated":
             s_max = min(s_max, self.table[0][-1] - 2 * fd_h)
         # stay away from s = 0 where fractional powers have unbounded F'''
-        ss = np.linspace(max(10 * fd_h, 5e-3 * s_max), s_max, n)
+        ss = np.linspace(max(10 * fd_h, 5e-3 * s_max), s_max, 101)
         if abs(self.F(0.0)) > 0.0:
             raise DomainError(f"F(0) = {self.F(0.0)} must vanish exactly")
         fd = (self.F(ss + fd_h) - self.F(ss - fd_h)) / (2 * fd_h)
         err_dF = float(np.max(np.abs(fd - self.dF(ss))))
         scale = 1.0 + float(np.max(np.abs(self.dF(ss))))
-        if err_dF > fd_tol * scale:
+        if err_dF > CHECK_TOL * scale:
             raise DomainError(f"F' disagrees with centered differences by {err_dF:.3e}")
         # trapezoid refinement check of G on [0, s_max]
         fine = np.linspace(0.0, s_max, 4001)
         g_quad = np.concatenate([[0.0], np.cumsum((self.F(fine[1:]) + self.F(fine[:-1])) / 2 * np.diff(fine))])
         err_G = float(np.max(np.abs(g_quad - self.G(fine))))
         gscale = 1.0 + float(np.max(np.abs(self.G(fine))))
-        if err_G > quad_tol * gscale:
+        if err_G > CHECK_TOL * gscale:
             raise DomainError(f"G disagrees with trapezoid quadrature by {err_G:.3e}")
         if abs(self.G(0.0)) > 0.0:
             raise DomainError("G(0) must vanish exactly")

@@ -230,6 +230,27 @@ def test_spectrum_bad_eigen_block_exits_2(tmp_path, eigen):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("command, block", [
+    ("ground", {"grid": {"R": "30"}}),
+    ("ground", {"grid": {"h": [0.001]}}),
+    ("scan", {"scan": {"lmin": "1.5", "lmax": 3.0, "n": 4}}),
+    ("scan", {"scan": {"lmin": 1.5, "lmax": "3.0", "n": 4}}),
+    ("ground", {"tolerances": {"theta_cert": "small"}}),
+    ("ground", {"tolerances": {"tol_ode": -1}}),
+    ("spectrum", {"eigen": {"window": [0.5]}}),
+    ("spectrum", {"eigen": {"n": 3}}),
+    ("spectrum", {"eigen": {"k": True}}),
+])
+def test_malformed_numbers_exit_2(tmp_path, capsys, command, block):
+    """Malformed numbers are configuration errors, not tracebacks or solver failures."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(block))
+    out = str(tmp_path / "out.json")
+    assert main([command, "--config", str(path), "--out", out]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_from_file_does_not_alias_defaults(tmp_path):
     path = tmp_path / "c.json"
     path.write_text(json.dumps({"mu": 1.0}))

@@ -13,6 +13,18 @@ def test_cubic_matches_sech_closed_form(gs_cubic):
     assert gs_cubic.shoot_value == pytest.approx(np.sqrt(2.0), abs=1e-10)
 
 
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_power_matches_sech_closed_form(p, gs_cubic):
+    """F(s) = s^p: Q = ((p+1) mu)^(1/2p) sech^(1/p)(p sqrt(mu) x); p = 1 is sqrt(2)/cosh."""
+    mu = 1.0
+    gs = gs_cubic if p == 1.0 else sp.solve_ground_state(sp.Nonlinearity.power(p), mu)
+    peak = ((p + 1.0) * mu) ** (1.0 / (2.0 * p))
+    exact = peak / np.cosh(p * np.sqrt(mu) * gs.x) ** (1.0 / p)
+    mask = np.abs(gs.x) <= 20.0
+    assert np.max(np.abs(gs.Q - exact)[mask]) <= 1e-8
+    assert gs.shoot_value == pytest.approx(peak, abs=1e-10)
+
+
 def test_shoot_value_satisfies_conserved_quantity(gs_cubic, nl_cubic):
     q0 = gs_cubic.shoot_value
     assert abs(gs_cubic.mu * q0**2 - nl_cubic.G(q0**2)) <= 1e-10
@@ -108,3 +120,9 @@ def test_no_ground_state_raises_with_diagnostic():
 def test_bad_mu_rejected(nl_cubic):
     with pytest.raises(sp.DomainError):
         sp.solve_ground_state(nl_cubic, -1.0)
+
+
+def test_coarse_grid_rejected(nl_cubic):
+    """Fewer than 10 nodes before the tail anchor leave no far-field fit window."""
+    with pytest.raises(sp.DomainError, match="fewer than 10 grid points"):
+        sp.solve_ground_state(nl_cubic, 1.0, R=12.0, h=1.2)
