@@ -24,7 +24,7 @@ from .certificate import (Thresholds, _ground_meta, control_scan, negative_contr
                           report_header, scan_embedded, sech_well_levels)
 from .config import RunConfig, print_defaults
 from .errors import ConfigurationError, HypothesisError, SolispecError
-from .ground_state import R_FACTOR, solve_ground_state
+from .ground_state import eigen_grid, solve_ground_state
 from .inversion import fixed_point_residual
 from .jost import decaying_solution
 from .linearized_operator import discrete_eigenvalues
@@ -88,8 +88,7 @@ def cmd_spectrum(args) -> int:
     cfg, nl = _load(args)
     eig_cfg = cfg.raw["eigen"]
     mu = cfg.mu
-    R_eig = eig_cfg["R"] or min(cfg.R or R_FACTOR / np.sqrt(mu), 12.0 / np.sqrt(mu))
-    h_eig = R_eig / ((eig_cfg["n"] - 1) // 2)
+    R_eig, h_eig = eigen_grid(mu, cfg.R, eig_cfg["R"], eig_cfg["n"])
     gs = solve_ground_state(nl, mu, R=R_eig, h=h_eig, tol=max(cfg.tol_ode, 1e-9))
     window = eig_cfg["window"]
     pairs = discrete_eigenvalues(gs, nl, window=tuple(window) if window else None,
@@ -97,12 +96,13 @@ def cmd_spectrum(args) -> int:
     _json_dump(args.out, {
         **report_header(cfg.config_hash()),
         "mu": mu, "grid": {"R": gs.R, "h": gs.h},
-        "eigenvalues": [{"lambda": p.lam, "residual": p.residual, "parity": p.parity}
-                        for p in pairs],
+        "eigenvalues": [{"lambda": p.lam, "imag": p.imag, "residual": p.residual,
+                         "parity": p.parity} for p in pairs],
     })
     print(f"{len(pairs)} gap eigenvalue(s) written to {args.out}")
     for p in pairs:
-        print(f"  lambda = {p.lam: .6e}  residual = {p.residual:.2e}  parity = {p.parity}")
+        print(f"  lambda = {p.lam: .6e}  imag = {p.imag:.6e}  residual = {p.residual:.2e}  "
+              f"parity = {p.parity}")
     return 0
 
 

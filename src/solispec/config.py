@@ -9,7 +9,8 @@ import math
 import warnings
 from dataclasses import dataclass, field
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, SolispecError
+from .ground_state import eigen_grid
 from .nonlinearity import Nonlinearity
 
 DEFAULTS: dict = {
@@ -98,6 +99,10 @@ class RunConfig:
         _require_count(eigen.get("k"), "eigen.k")
         if eigen.get("R") is not None:
             _require_number(eigen["R"], "eigen.R", positive=True)
+        try:
+            eigen_grid(mu, c["grid"].get("R"), eigen.get("R"), eigen["n"])
+        except SolispecError as exc:
+            raise ConfigurationError(f"eigen grid: {exc}") from exc
         window = eigen.get("window")
         if window is not None and not (isinstance(window, list) and len(window) == 2
                                        and all(map(_is_number, window))

@@ -33,6 +33,7 @@ from .nonlinearity import Nonlinearity
 
 R_FACTOR = 30.0          # default half-width: R = 30 / sqrt(mu)
 H_FACTOR = 1e-3          # default spacing:    h = 1e-3 / sqrt(mu)
+EIGEN_R_FACTOR = 12.0    # default half-width of the gap-eigensolve grid: 12 / sqrt(mu)
 X_FAR_FACTOR = 12.0      # tail anchor of the backward sweeps
 MIN_X_FAR = 6.0          # below this the far field is not asymptotic yet
 TURN_TOL = 1e-9          # sqrt(mu)*|x_e| small enough that the next translation is negligible
@@ -139,6 +140,39 @@ def _logfit(x, y):
     return float(np.exp(coef[1])), float(-coef[0]), resid
 
 
+def _grid(mu: float, R: float, h: float) -> tuple[int, float, int]:
+    """(n, h, i_far) of the grid on [-R, R]: cells per side, the spacing R/n
+    and the node of the tail anchor x_far. Raises on a grid the solver cannot use."""
+    sq = math.sqrt(mu)
+    if R <= 0 or h <= 0 or h >= R:
+        raise DomainError(f"invalid grid parameters R = {R}, h = {h}")
+    n = int(round(R / h))
+    h = R / n
+    if R * sq < 10.0:
+        raise GroundStateError(f"R*sqrt(mu) = {R * sq:.2f} is too small to reach the far field")
+    x_far = min(X_FAR_FACTOR / sq, R - 2.0 / sq)
+    i_far = int(round(x_far / h))
+    if i_far < 10:
+        raise DomainError(f"h = {h} leaves fewer than 10 grid points on [0, x_far = {x_far:.3g}]")
+    return n, h, i_far
+
+
+def eigen_grid(mu: float, R: float | None = None, eigen_R: float | None = None,
+               n: int = 1201) -> tuple[float, float]:
+    """(R, h) of the profile grid for the gap eigensolve of `solispec spectrum`.
+
+    The half-width is eigen_R, else min(R, 12/sqrt(mu)) with R defaulting to
+    30/sqrt(mu); n points put (n - 1) // 2 cells on each side of the origin.
+    Raises as solve_ground_state would on that grid (fewer than 10 nodes
+    before the tail anchor, or R*sqrt(mu) < 10).
+    """
+    sq = math.sqrt(mu)
+    R_eig = eigen_R or min(R or R_FACTOR / sq, EIGEN_R_FACTOR / sq)
+    h_eig = R_eig / ((n - 1) // 2)
+    _grid(mu, R_eig, h_eig)
+    return R_eig, h_eig
+
+
 def solve_ground_state(nl: Nonlinearity, mu: float, R: float | None = None,
                        h: float | None = None, tol: float = 1e-10) -> GroundState:
     """Compute the even positive decaying profile of Q'' - mu*Q + F(Q^2)*Q = 0.
@@ -155,18 +189,8 @@ def solve_ground_state(nl: Nonlinearity, mu: float, R: float | None = None,
         R = R_FACTOR / sq
     if h is None:
         h = H_FACTOR / sq
-    if R <= 0 or h <= 0 or h >= R:
-        raise DomainError(f"invalid grid parameters R = {R}, h = {h}")
-    n = int(round(R / h))
-    h = R / n
-    if R * sq < 10.0:
-        raise GroundStateError(f"R*sqrt(mu) = {R * sq:.2f} is too small to reach the far field")
-
+    n, h, i_far = _grid(mu, R, h)
     q0 = _shoot_seed(nl, mu)
-    x_far = min(X_FAR_FACTOR / sq, R - 2.0 / sq)
-    i_far = int(round(x_far / h))
-    if i_far < 10:
-        raise DomainError(f"h = {h} leaves fewer than 10 grid points on [0, x_far = {x_far:.3g}]")
     x_far = i_far * h
     rhs = _rhs(nl, mu)
 

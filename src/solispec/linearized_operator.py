@@ -19,8 +19,9 @@ equivalently L_minus = -d2 + mu - (a-b) and L_plus = -d2 + mu - (a+b).
 
 Everything here acts on grid samples with second-order centered differences
 and homogeneous Dirichlet closure at the walls +-R. discrete_eigenvalues
-assembles the sparse matrix and reports the point spectrum inside the
-spectral gap (-mu, mu).
+reports the point spectrum inside the spectral gap (-mu, mu) through the
+eigenvalues lambda^2 of L_minus L_plus (Weinstein, SIAM J. Math. Anal. 16,
+1985), solved once per parity on the half grid x >= 0.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ WALL_MASS_LIMIT = 0.01      # discard eigenvectors carrying > 1% mass at the wal
 KERNEL_IMAG_BAND = 2.0      # x h: the O(h^2) perturbation of the double kernel
                             # block splits its eigenvalues by O(h) (square root)
 RESIDUAL_BAND = 10.0        # x h: residual gate for reported eigenpairs
-PARITY_TOL = 1e-6           # relative mismatch with the mirror image of an even/odd vector
+REAL_SQUARE_TOL = 1e-10     # |Im lambda^2| / |lambda^2| at which lambda^2 counts as real
 
 
 @dataclass(frozen=True)
@@ -122,8 +123,9 @@ class EigenPair:
     lam: float
     w: GridField2
     residual: float
-    parity: str
-    imag: float = 0.0       # imaginary part of the raw discrete eigenvalue
+    parity: str             # "even" or "odd": the sector the pair was solved in
+    imag: float = 0.0       # Im of the discrete eigenvalue (>= 0); an unstable pair
+                            # has lam = 0, imag = gamma and a complex w
 
 
 def potential_entries(nl: Nonlinearity, Q: np.ndarray):
@@ -215,18 +217,6 @@ def assemble_matrix(pm: PotentialMatrix) -> sp.csr_matrix:
     return sp.vstack([top, bot]).tocsr()
 
 
-def _parity_tag(vec: np.ndarray) -> str:
-    mirrored = vec[::-1]
-    nrm = np.linalg.norm(vec)
-    if nrm == 0:
-        return "none"
-    if np.linalg.norm(vec - mirrored) <= PARITY_TOL * nrm:
-        return "even"
-    if np.linalg.norm(vec + mirrored) <= PARITY_TOL * nrm:
-        return "odd"
-    return "none"
-
-
 def _real_eigvec_candidates(lam, vec):
     """Real grid vectors representing one discrete eigenvalue.
 
@@ -240,26 +230,97 @@ def _real_eigvec_candidates(lam, vec):
     return [np.real(vec), np.imag(vec)]
 
 
+def _sector_operators(pm: PotentialMatrix, parity: str):
+    """Sparse (L_minus, L_plus) on the nodes x >= 0 for grid functions of one parity.
+
+    An even function mirrors its ghost node, so the origin row of the second
+    difference reads (2 y_1 - 2 y_0)/h^2; an odd one vanishes at the origin,
+    which drops that node. The wall keeps its Dirichlet ghost. With even a and
+    b these are the full-grid operators restricted to each parity, exactly.
+    """
+    start = (len(pm.x) - 1) // 2 + (parity == "odd")
+    m = len(pm.x) - start
+    upper = np.ones(m - 1)
+    if parity == "even":
+        upper[0] = 2.0
+    lap = sp.diags([np.ones(m - 1), -2.0 * np.ones(m), upper], offsets=[-1, 0, 1]) / pm.h**2
+    a, b = pm.a[start:], pm.b[start:]
+    return ((-lap + sp.diags(pm.mu - (a - b))).tocsr(),
+            (-lap + sp.diags(pm.mu - (a + b))).tocsr())
+
+
+def _unfold(y: np.ndarray, parity: str) -> np.ndarray:
+    """Full-grid samples of an even or odd function from its sector samples."""
+    if parity == "even":
+        return np.concatenate([y[:0:-1], y])
+    return np.concatenate([-y[::-1], [0.0], y])
+
+
+def _squared_spectrum(M, dense: bool, k: int, mu: float):
+    """Eigenpairs (lambda^2, u) of one sector product L_minus L_plus."""
+    if dense:
+        return dense_eig(M.toarray(), overwrite_a=True, check_finite=False)
+    sigma = (0.013 * mu) ** 2
+    last = None
+    for _ in range(4):
+        try:
+            return sparse_eigs(M, k=min(k, M.shape[0] - 2), sigma=sigma, which="LM")
+        except RuntimeError as exc:            # singular shift, nudge it
+            sigma *= 1.7
+            last = exc
+    raise SolispecError(f"shift-invert eigensolve failed: {last}")
+
+
+def _gate(pm: PotentialMatrix, vec: np.ndarray, target: complex, residual_gate: float):
+    """(w, ||H w - target w||) for the unit full-grid vector along vec, or None when
+    it carries more than WALL_MASS_LIMIT of its mass in the outermost two cells
+    per side or its residual exceeds residual_gate."""
+    n = len(pm.x)
+    vec = vec / np.linalg.norm(vec)
+    f, g = vec[:n], vec[n:]
+    if np.sum(np.abs(np.concatenate([f[:2], f[-2:], g[:2], g[-2:]])) ** 2) > WALL_MASS_LIMIT:
+        return None
+    w = GridField2(f, g)
+    hw = apply_H_potential(pm, w)
+    residual = float(np.linalg.norm(np.concatenate([hw.f - target * f, hw.g - target * g])))
+    return (w, residual) if residual <= residual_gate else None
+
+
 def discrete_eigenvalues(gs: GroundState, nl: Nonlinearity,
                          window: tuple[float, float] | None = None,
                          k: int = 16) -> list[EigenPair]:
     """Point spectrum of the discretized H inside the spectral gap.
 
     window must sit strictly inside (-mu, mu); it defaults to
-    (-0.98 mu, 0.98 mu). Grids up to DENSE_GRID_LIMIT points use a dense
-    eigensolve (complete within the window); larger grids fall back to
-    shift-invert Arnoldi and report at most k pairs near the gap center.
+    (-0.98 mu, 0.98 mu). With u = f+g and v = f-g, H w = lambda w reads
+    -L_minus v = lambda u and -L_plus u = lambda v, so lambda^2 is an
+    eigenvalue of L_minus L_plus. On the grid H commutes with reversal, so
+    that product is solved once per parity on the half grid x >= 0, never
+    on the 2n x 2n matrix of H. Each lambda^2 != 0 gives the roots
+    +-sqrt(lambda^2); each root gives v = -L_plus u / lambda,
+    f = (u+v)/2 and g = (u-v)/2, unfolded to the full grid by parity, which
+    is the pair's parity tag. Grids up to DENSE_GRID_LIMIT points solve the
+    sector products densely (complete within the window); larger grids use
+    shift-invert Arnoldi for the k values of lambda^2 nearest (0.013 mu)^2
+    in each sector. Raises DomainError if a or b is not mirror symmetric.
 
     Discretizing the generalized kernel (a double Jordan block) splits its
     eigenvalues into real and imaginary pairs of size O(h), the square root
     of the O(h^2) stencil perturbation; conjugate pairs within 2 h max(1, mu)
     are reported through the real and imaginary parts of their eigenvectors
-    at Re(lambda). Eigenvectors hugging the
-    Dirichlet walls (> 1% mass in the outermost two cells per side) or
-    failing the discretization-scale residual gate are discarded as
-    truncation artifacts.
+    at Re(lambda). A purely imaginary pair i*gamma beyond that band (real
+    negative lambda^2, such as the Vakhitov-Kolokolov instability) is
+    reported once as lam = 0, imag = gamma with its unit complex
+    eigenvector; the value of lambda^2 nearest 0 in each parity is the
+    kernel's image and never counts as such a pair, and other complex pairs
+    are dropped. Eigenvectors hugging the Dirichlet walls (> 1% mass in the
+    outermost two cells per side) or failing the discretization-scale
+    residual gate are discarded as truncation artifacts.
     """
     pm = potential_V(gs, nl)
+    if not (np.array_equal(pm.a, pm.a[::-1]) and np.array_equal(pm.b, pm.b[::-1])):
+        raise DomainError("potential entries are not mirror symmetric; "
+                          "the parity split needs an even profile")
     mu = pm.mu
     h = pm.h
     if window is None:
@@ -269,55 +330,35 @@ def discrete_eigenvalues(gs: GroundState, nl: Nonlinearity,
         raise DomainError(f"window {window} must lie strictly inside (-{mu}, {mu})")
     imag_band = KERNEL_IMAG_BAND * h * max(1.0, mu)
     residual_gate = RESIDUAL_BAND * h * max(1.0, mu)
-
-    H = assemble_matrix(pm)
-    n = len(pm.x)
-    if n <= DENSE_GRID_LIMIT:
-        vals, vecs = dense_eig(H.toarray())
-    else:
-        sigma = 0.013 * mu
-        last = None
-        for _ in range(4):
-            try:
-                vals, vecs = sparse_eigs(H, k=min(k, 2 * n - 2), sigma=sigma, which="LM")
-                break
-            except RuntimeError as exc:        # singular shift, nudge it
-                sigma *= 1.7
-                last = exc
-        else:
-            raise SolispecError(f"shift-invert eigensolve failed: {last}")
+    dense = len(pm.x) <= DENSE_GRID_LIMIT
 
     pairs: list[EigenPair] = []
-    for j in range(len(vals)):
-        lam = vals[j]
-        if lam.imag < 0:                       # conjugate-pair representative only
-            continue
-        if abs(lam.imag) > imag_band:
-            continue
-        lam_r = float(lam.real)
-        if not (lo <= lam_r <= hi):
-            continue
-        for vec in _real_eigvec_candidates(lam, vecs[:, j]):
-            nrm = np.linalg.norm(vec)
-            if nrm <= 1e-10 * np.linalg.norm(vecs[:, j]):
+    for parity in ("even", "odd"):
+        Lm, Lp = _sector_operators(pm, parity)
+        vals, vecs = _squared_spectrum(Lm @ Lp, dense, k, mu)
+        kernel = np.argmin(np.abs(vals))       # the kernel's O(h^2) image, never an instability
+        for j, (s, u) in enumerate(zip(vals, vecs.T)):
+            if s == 0:
                 continue
-            vec = vec / nrm
-            f, g = vec[:n], vec[n:]
-            mass = np.sum(f**2 + g**2)
-            wall = np.sum(f[:2]**2 + f[-2:]**2 + g[:2]**2 + g[-2:]**2)
-            if wall > WALL_MASS_LIMIT * mass:
-                continue
-            w = GridField2(f, g)
-            res_field = apply_H_potential(pm, w)
-            residual = float(np.linalg.norm(
-                np.concatenate([res_field.f - lam_r * f, res_field.g - lam_r * g])))
-            if residual > residual_gate:
-                continue
-            parity = "none"
-            pf, pg = _parity_tag(f), _parity_tag(g)
-            if pf == pg and pf != "none":
-                parity = pf
-            pairs.append(EigenPair(lam=lam_r, w=w, residual=residual,
-                                   parity=parity, imag=float(lam.imag)))
+            root = np.sqrt(complex(s))
+            for lam in (root, -root):
+                if lam.imag < 0:               # conjugate-pair representative only
+                    continue
+                unstable = lam.imag > imag_band
+                if unstable:
+                    if j == kernel or s.real >= 0 or abs(s.imag) > REAL_SQUARE_TOL * abs(s):
+                        continue
+                    lam = complex(0.0, lam.imag)
+                if not (lo <= lam.real <= hi):
+                    continue
+                v = -(Lp @ u) / lam
+                full = np.concatenate([_unfold(u + v, parity), _unfold(u - v, parity)])
+                for vec in [full] if unstable else _real_eigvec_candidates(lam, full):
+                    if np.linalg.norm(vec) <= 1e-10 * np.linalg.norm(full):
+                        continue
+                    gated = _gate(pm, vec, lam if unstable else lam.real, residual_gate)
+                    if gated:
+                        pairs.append(EigenPair(lam=float(lam.real), w=gated[0], residual=gated[1],
+                                               parity=parity, imag=float(abs(lam.imag))))
     pairs.sort(key=lambda p: (p.lam, p.imag))
     return pairs

@@ -78,6 +78,7 @@ def test_spectrum_command(tmp_path):
     lams = [e["lambda"] for e in payload["eigenvalues"]]
     h_eig = payload["grid"]["h"]
     assert any(abs(l) <= 2 * h_eig for l in lams)
+    assert all(e["imag"] >= 0.0 for e in payload["eigenvalues"])
 
 
 def test_scan_command_and_outputs(tmp_path, cfg_path):
@@ -227,6 +228,17 @@ def test_spectrum_bad_eigen_block_exits_2(tmp_path, eigen):
     path.write_text(json.dumps({"eigen": eigen}))
     out = str(tmp_path / "spec.json")
     assert main(["spectrum", "--config", str(path), "--out", out]) == 2
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("n", [5, 11, 21])
+def test_spectrum_coarse_eigen_grid_exits_2(tmp_path, capsys, n):
+    """An eigen grid with fewer than 10 nodes before the tail anchor is a config error."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"eigen": {"n": n}}))
+    out = str(tmp_path / "spec.json")
+    assert main(["spectrum", "--config", str(path), "--out", out]) == 2
+    assert "fewer than 10 grid points" in capsys.readouterr().err
     assert not os.path.exists(out)
 
 

@@ -1,5 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from scipy.linalg import eig
 
 import solispec as sp
 
@@ -159,3 +162,50 @@ def test_sparse_path_finds_kernel(nl_cubic):
     pairs = sp.discrete_eigenvalues(gs, nl_cubic, k=8)
     lams = np.array([p.lam for p in pairs])
     assert np.sum(np.abs(lams) <= 2 * gs.h) >= 2
+
+
+@pytest.mark.parametrize("nl", [sp.Nonlinearity.power(1.0), sp.Nonlinearity.saturable(0.5)],
+                         ids=["cubic", "saturable"])
+def test_sector_solve_matches_dense_eig_of_H(nl):
+    """Independent cross-check against the dense 2n x 2n eigenvalues of H."""
+    gs = sp.solve_ground_state(nl, 1.0, R=12.0, h=0.12, tol=1e-9)
+    assert len(gs.x) == 201
+    pairs = sp.discrete_eigenvalues(gs, nl)
+    vals = eig(sp.assemble_matrix(sp.potential_V(gs, nl)).toarray(), right=False)
+    real = vals.real[(vals.imag == 0) & (np.abs(vals.real) <= 0.98 * gs.mu)]
+    assert real.size >= 2
+    for lam in real:
+        same_sign = [abs(p.lam - lam) for p in pairs if np.sign(p.lam) == np.sign(lam)]
+        assert min(same_sign) <= 1e-8
+    for p in pairs:
+        assert np.min(np.abs(vals - complex(p.lam, p.imag))) <= 1e-8
+        mirror = 1.0 if p.parity == "even" else -1.0
+        assert p.parity in ("even", "odd")
+        assert np.array_equal(p.w.f[::-1], mirror * p.w.f)
+        assert np.array_equal(p.w.g[::-1], mirror * p.w.g)
+
+
+def test_asymmetric_profile_rejected(nl_cubic):
+    gs = sp.solve_ground_state(nl_cubic, 1.0, R=12.0, h=0.12, tol=1e-9)
+    Q = gs.Q.copy()
+    Q[gs.i_origin + 3] *= 1.0 + 1e-6
+    with pytest.raises(sp.DomainError):
+        sp.discrete_eigenvalues(dataclasses.replace(gs, Q=Q), nl_cubic)
+
+
+def test_vakhitov_kolokolov_pair_reported():
+    """L2-supercritical power p = 2.5 at mu = 1: H has the unstable pair +-1.647i."""
+    nl = sp.Nonlinearity.power(2.5)
+    gs = sp.solve_ground_state(nl, 1.0, R=12.0, h=0.04, tol=1e-9)
+    assert len(gs.x) == 601
+    pairs = sp.discrete_eigenvalues(gs, nl)
+    unstable = [p for p in pairs if abs(p.imag - 1.647) <= 0.005]
+    assert len(unstable) == 1
+    p = unstable[0]
+    assert p.lam == 0.0 and p.parity == "even" and p.residual <= 1e-6
+    # the kernel's split images stay inside the band: the odd one (about 0.105i
+    # on this grid) is no instability even though it lies beyond 2h
+    assert all(q.imag <= 2 * gs.h for q in pairs if q is not p)
+    hw = sp.apply_H_potential(sp.potential_V(gs, nl), p.w)
+    assert np.linalg.norm(np.concatenate([hw.f - 1j * p.imag * p.w.f,
+                                          hw.g - 1j * p.imag * p.w.g])) <= 1e-6
