@@ -24,9 +24,9 @@ from .certificate import (Thresholds, _ground_meta, control_scan, negative_contr
                           report_header, scan_embedded, sech_well_levels)
 from .config import RunConfig, print_defaults
 from .errors import ConfigurationError, HypothesisError, SolispecError
-from .ground_state import eigen_grid, solve_ground_state
-from .inversion import fixed_point_residual
-from .jost import decaying_solution
+from .ground_state import eigen_grid, profile_grid, solve_ground_state
+from .inversion import WALL_MARGIN, fixed_point_residual
+from .jost import THRESHOLD_REL, decaying_solution
 from .linearized_operator import discrete_eigenvalues
 from .nonlinearity import Nonlinearity
 
@@ -69,6 +69,12 @@ def _solve_ground(cfg: RunConfig, nl: Nonlinearity):
     return solve_ground_state(nl, cfg.mu, R=cfg.R, h=cfg.h, tol=cfg.tol_ode)
 
 
+def _check_lambda(cfg: RunConfig, lam: float):
+    """The decaying solution is built for lambda >= mu; refuse other energies before any solve."""
+    if not lam >= cfg.mu * (1.0 - THRESHOLD_REL):
+        raise ConfigurationError(f"--lambda must be >= mu = {cfg.mu}, got {lam}")
+
+
 def _thresholds(cfg: RunConfig) -> Thresholds:
     return Thresholds(theta_cert=cfg.theta_cert, theta_mismatch=cfg.theta_mismatch)
 
@@ -108,6 +114,7 @@ def cmd_spectrum(args) -> int:
 
 def cmd_jost(args) -> int:
     cfg, nl = _load(args)
+    _check_lambda(cfg, args.lam)
     gs = _solve_ground(cfg, nl)
     sol = decaying_solution(args.lam, gs, nl)
     _write_samples(args.out, cfg,
@@ -122,10 +129,13 @@ def cmd_jost(args) -> int:
 
 def cmd_invert_check(args) -> int:
     cfg, nl = _load(args)
+    _check_lambda(cfg, args.lam)
+    R = profile_grid(cfg.mu, cfg.R, cfg.h)[0]
+    if not 0.0 < args.x0 < R - WALL_MARGIN:
+        raise ConfigurationError(
+            f"--x0 must lie in (0, R - {WALL_MARGIN}) = (0, {R - WALL_MARGIN:g}), got {args.x0}")
     gs = _solve_ground(cfg, nl)
     sol = decaying_solution(args.lam, gs, nl)
-    if len(sol.x) != len(gs.x):
-        raise ConfigurationError("decaying solution does not span the profile grid")
     u = sol.f + sol.g
     v = sol.f - sol.g
     r_u, r_v = fixed_point_residual(gs, u, v, args.lam, x0=args.x0)

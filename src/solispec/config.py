@@ -10,7 +10,7 @@ import warnings
 from dataclasses import dataclass, field
 
 from .errors import ConfigurationError, SolispecError
-from .ground_state import eigen_grid
+from .ground_state import eigen_grid, profile_grid
 from .nonlinearity import Nonlinearity
 
 DEFAULTS: dict = {
@@ -81,6 +81,10 @@ class RunConfig:
             if c["grid"].get(key) is not None:
                 _require_number(c["grid"][key], f"grid.{key}", positive=True)
         R = c["grid"].get("R")
+        try:
+            profile_grid(mu, R, c["grid"].get("h"))
+        except SolispecError as exc:
+            raise ConfigurationError(f"grid: {exc}") from exc
         if R is not None and R * math.sqrt(mu) < 20.0:
             warnings.warn(f"R*sqrt(mu) = {R * math.sqrt(mu):.1f} < 20; "
                           "far-field fits may be unreliable", stacklevel=2)

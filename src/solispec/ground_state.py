@@ -140,10 +140,19 @@ def _logfit(x, y):
     return float(np.exp(coef[1])), float(-coef[0]), resid
 
 
-def _grid(mu: float, R: float, h: float) -> tuple[int, float, int]:
-    """(n, h, i_far) of the grid on [-R, R]: cells per side, the spacing R/n
-    and the node of the tail anchor x_far. Raises on a grid the solver cannot use."""
+def profile_grid(mu: float, R: float | None = None,
+                 h: float | None = None) -> tuple[float, int, float, int]:
+    """(R, n, h, i_far) of the profile grid on [-R, R]: the half-width, cells per
+    side, the spacing R/n and the node of the tail anchor x_far.
+
+    R defaults to 30/sqrt(mu), h to 1e-3/sqrt(mu). Raises on a grid the
+    solver cannot use.
+    """
+    if mu <= 0:
+        raise DomainError(f"mu must be positive, got {mu}")
     sq = math.sqrt(mu)
+    R = R_FACTOR / sq if R is None else R
+    h = H_FACTOR / sq if h is None else h
     if R <= 0 or h <= 0 or h >= R:
         raise DomainError(f"invalid grid parameters R = {R}, h = {h}")
     n = int(round(R / h))
@@ -154,7 +163,7 @@ def _grid(mu: float, R: float, h: float) -> tuple[int, float, int]:
     i_far = int(round(x_far / h))
     if i_far < 10:
         raise DomainError(f"h = {h} leaves fewer than 10 grid points on [0, x_far = {x_far:.3g}]")
-    return n, h, i_far
+    return R, n, h, i_far
 
 
 def eigen_grid(mu: float, R: float | None = None, eigen_R: float | None = None,
@@ -163,13 +172,12 @@ def eigen_grid(mu: float, R: float | None = None, eigen_R: float | None = None,
 
     The half-width is eigen_R, else min(R, 12/sqrt(mu)) with R defaulting to
     30/sqrt(mu); n points put (n - 1) // 2 cells on each side of the origin.
-    Raises as solve_ground_state would on that grid (fewer than 10 nodes
-    before the tail anchor, or R*sqrt(mu) < 10).
+    Raises as profile_grid does on that grid.
     """
     sq = math.sqrt(mu)
     R_eig = eigen_R or min(R or R_FACTOR / sq, EIGEN_R_FACTOR / sq)
     h_eig = R_eig / ((n - 1) // 2)
-    _grid(mu, R_eig, h_eig)
+    profile_grid(mu, R_eig, h_eig)
     return R_eig, h_eig
 
 
@@ -182,14 +190,8 @@ def solve_ground_state(nl: Nonlinearity, mu: float, R: float | None = None,
     uniformly on the grid, is strictly positive, and strictly decreasing on
     (0, R]; violations raise GroundStateError.
     """
-    if mu <= 0:
-        raise DomainError(f"mu must be positive, got {mu}")
+    R, n, h, i_far = profile_grid(mu, R, h)
     sq = math.sqrt(mu)
-    if R is None:
-        R = R_FACTOR / sq
-    if h is None:
-        h = H_FACTOR / sq
-    n, h, i_far = _grid(mu, R, h)
     q0 = _shoot_seed(nl, mu)
     x_far = i_far * h
     rhs = _rhs(nl, mu)

@@ -9,11 +9,12 @@ pair degenerates into the constant and linear solutions.
 
 decaying_solution constructs the unique (up to scale) solution behaving
 like exp(-kappa*x) times the exponential-channel unit vector as
-x -> +infinity: initial data are imposed at a station x_asym where the
-potential is below 1e-14 (pure mode plus its first-order potential
-correction) and the system is integrated backward, which is the
-numerically stable direction. The solution is normalized so the leading
-decaying coefficient is exactly 1 at the station.
+x -> +infinity: pure-mode data are imposed at a station x_asym beyond which
+the potential stays below 1e-14, and the system is integrated backward,
+which is the numerically stable direction. Beyond the station the samples
+are the pure mode itself, which treats the potential there as zero. The
+solution is normalized so the leading decaying coefficient is exactly 1 at
+the station.
 
 The sweep is Lawson's integrating-factor RK4 (SIAM J. Numer. Anal. 4, 1967)
 with one step per grid cell. Writing y' = (A0 + P(x)) y with the free part
@@ -27,7 +28,9 @@ by ~1e-11 relative and a nominal h would put that error into every step.
 They are built from 2x2 blocks: exp(s A0) is diagonal per channel in each
 block and P only fills the bottom-left block, so a step matrix takes a few
 elementwise products of per-step arrays instead of dense 4x4 products.
-They are chained in about sqrt(n) blocks: O(sqrt(n)) Python iterations.
+They are chained in two passes over about sqrt(n) blocks: the running
+products inside every block at once, then the blocks' entry states in turn,
+so the chain takes O(sqrt(n)) Python iterations.
 
 expand_in_modes projects samples onto the four free modes over a window by
 least squares; it is the quantitative tool behind the mode-mismatch
@@ -40,7 +43,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .errors import ConditioningError, DomainError
 from .ground_state import GroundState
@@ -153,7 +155,8 @@ def asymptotic_modes(lam: float, mu: float, end: int = +1) -> tuple[AsymptoticMo
 
 @dataclass(frozen=True)
 class JostSolution:
-    """Samples of a solution of (H - lambda) w = 0 with declared +inf behavior."""
+    """Samples of a solution of (H - lambda) w = 0 with declared +inf behavior; asym_deviation
+    is the potential its pure-mode tail neglects, the largest max(|a|, |b|) at |t| >= x_asym."""
 
     lam: float
     mu: float
@@ -171,53 +174,6 @@ class JostSolution:
     def scaled(self, c: float) -> "JostSolution":
         return replace(self, f=c * self.f, g=c * self.g, fp=c * self.fp, gp=c * self.gp,
                        normalization=f"scaled by {c} from unit leading coefficient")
-
-
-def _tail_with_correction(pm: PotentialMatrix, lam: float, mode: AsymptoticMode, i0: int):
-    """Pure decaying mode plus its first-order potential correction on the nodes x[i0:].
-
-    The exponential-channel correction solves y'' - kappa^2 y = rho_exp with
-    the decaying particular solution; the oscillatory-channel correction
-    solves y'' + omega^2 y = rho_osc with the bounded retarded solution
-    (omega = 0 degenerates to double integration).
-    """
-    mu = pm.mu
-    kappa = mode.value
-    xs = pm.x[i0:]
-    f0, g0, fp0, gp0 = mode.eval(xs)
-    base = f0 + g0                      # only one channel is populated
-    rho_exp, rho_osc = -pm.a[i0:] * base, -pm.b[i0:] * base     # same- and cross-channel
-
-    # exponential channel: y = -(A + B)/(2 kappa), y' = (A - B)/2 with
-    # A(x) = e^{-kx} int_{x0}^x e^{ks} rho, B(x) = e^{kx} int_x^{R} e^{-ks} rho
-    ek = np.exp(kappa * (xs - xs[0]))
-    A = np.concatenate([[0.0], cumulative_trapezoid(ek * rho_exp, xs)]) / ek
-    w = rho_exp / ek
-    I = np.concatenate([[0.0], cumulative_trapezoid(w, xs)])
-    B = ek * (I[-1] - I)
-    y_exp = -(A + B) / (2.0 * kappa)
-    yp_exp = (A - B) / 2.0
-
-    if not at_threshold(lam, mu):
-        om = math.sqrt(abs(lam) - mu)
-        s_os, c_os = np.sin(om * xs), np.cos(om * xs)
-        Is = np.concatenate([[0.0], cumulative_trapezoid(s_os * rho_osc, xs)])
-        Ic = np.concatenate([[0.0], cumulative_trapezoid(c_os * rho_osc, xs)])
-        Is = Is[-1] - Is                # integral from x to R
-        Ic = Ic[-1] - Ic
-        y_osc = (c_os * Is - s_os * Ic) / om
-        yp_osc = -(c_os * Ic + s_os * Is)
-    else:
-        I0 = np.concatenate([[0.0], cumulative_trapezoid(rho_osc, xs)])
-        I1 = np.concatenate([[0.0], cumulative_trapezoid(xs * rho_osc, xs)])
-        I0 = I0[-1] - I0
-        I1 = I1[-1] - I1
-        y_osc = I1 - xs * I0
-        yp_osc = -I0
-
-    if mode.channel == 0:
-        return f0 + y_exp, g0 + y_osc, fp0 + yp_exp, gp0 + yp_osc
-    return f0 + y_osc, g0 + y_exp, fp0 + yp_osc, gp0 + yp_exp
 
 
 def _free_flow(mu: float, lam: float, s: np.ndarray):
@@ -281,9 +237,9 @@ def _sweep_states(pm: PotentialMatrix, lam: float, y0, i_from: int, i_to: int) -
     """States (f, g, f', g') at grid nodes i_to..i_from of the backward sweep from y0.
 
     The step propagators are built in chunks of at most PROPAGATOR_CHUNK
-    steps and chained in about sqrt(n) blocks: every block's total product
-    (all blocks at once), then each block's entry state in turn, then the
-    states inside all blocks at once. Returns shape (4, i_from - i_to + 1).
+    steps and chained in two passes over about sqrt(n) blocks: the running
+    products inside all blocks at once, then each block's entry state in
+    turn. Returns shape (4, i_from - i_to + 1).
     """
     n = i_from - i_to
     m = math.isqrt(n - 1) + 1                   # block length, ceil(sqrt(n))
@@ -295,18 +251,13 @@ def _sweep_states(pm: PotentialMatrix, lam: float, y0, i_from: int, i_to: int) -
         k1 = min(k + PROPAGATOR_CHUNK, n)
         T[k:k1] = _step_propagators(pm, lam, i_from - k1, i_from - k)[::-1]
     T = T.reshape(nb, m, 4, 4)
-    total = np.broadcast_to(np.eye(4), (nb, 4, 4))
-    for t in range(m):
-        total = T[:, t] @ total
+    for t in range(1, m):
+        T[:, t] = T[:, t] @ T[:, t - 1]         # T[:, t] maps a block's entry to its t+1-th state
     entry = np.empty((nb, 4))
     entry[0] = y0
     for j in range(1, nb):
-        entry[j] = total[j - 1] @ entry[j - 1]
-    states = np.empty((nb, m, 4))
-    y = entry
-    for t in range(m):
-        y = np.einsum("bij,bj->bi", T[:, t], y)
-        states[:, t] = y
+        entry[j] = T[j - 1, -1] @ entry[j - 1]
+    states = np.einsum("btij,bj->bti", T, entry)
     if not np.all(np.isfinite(states)):
         raise DomainError(f"backward sweep overflowed at lambda = {lam}; too large for this grid")
     return np.concatenate([np.reshape(y0, (1, 4)), states.reshape(-1, 4)[:n]])[::-1].T
@@ -335,37 +286,31 @@ def _rel_residual(pm: PotentialMatrix, lam: float, x, f, g, fp, gp) -> float:
     return float(np.max(np.hypot(r1, r2) / scale))
 
 
+def _station(pm: PotentialMatrix) -> int:
+    """Grid index of the station x_asym, where both sweeps start from pure-mode data."""
+    return int(np.searchsorted(pm.x, pm.negligible_from(V_NEGLIGIBLE) - 0.5 * pm.h))
+
+
 def _sweep_decaying(pm: PotentialMatrix, lam: float) -> JostSolution:
-    """Backward sweep of the decaying solution; valid for any |lam| >= mu."""
-    mu = pm.mu
-    mode = asymptotic_modes(lam, mu, end=+1)[0]
-    kappa = mode.value
-    x_asym = pm.negligible_from(V_NEGLIGIBLE)
-    if kappa * x_asym > 600.0:
+    """Backward sweep of the decaying solution; valid for any |lam| >= mu.
+
+    Beyond the station x_asym the samples are the pure decaying mode, whose
+    value there seeds the sweep; asym_deviation is the potential this tail
+    neglects, read from the cached sup envelope.
+    """
+    mode = asymptotic_modes(lam, pm.mu, end=+1)[0]
+    i_asym = _station(pm)
+    x_asym = float(pm.x[i_asym])
+    if mode.value * x_asym > 600.0:
         raise DomainError(
-            f"kappa * x_asym = {kappa * x_asym:.0f} underflows the tail normalization; "
+            f"kappa * x_asym = {mode.value * x_asym:.0f} underflows the tail normalization; "
             "lambda is too large for this grid")
-    i_asym = int(np.searchsorted(pm.x, x_asym - 0.5 * pm.h))
-
-    xs_tail = pm.x[i_asym:]
-    f_t, g_t, fp_t, gp_t = _tail_with_correction(pm, lam, mode, i_asym)
-    y0 = np.array([f_t[0], g_t[0], fp_t[0], gp_t[0]])
-
-    swept = _sweep_states(pm, lam, y0, i_asym, 0)
-
-    f = np.concatenate([swept[0, :-1], f_t])
-    g = np.concatenate([swept[1, :-1], g_t])
-    fp = np.concatenate([swept[2, :-1], fp_t])
-    gp = np.concatenate([swept[3, :-1], gp_t])
-
-    pure = np.exp(-kappa * xs_tail)
-    dev_num = np.hypot(f_t - (pure if mode.channel == 0 else 0.0),
-                       g_t - (pure if mode.channel == 1 else 0.0))
-    asym_dev = float(np.max(dev_num / pure))
+    swept = _sweep_states(pm, lam, np.array(mode.eval(x_asym)), i_asym, 0)
+    f, g, fp, gp = np.concatenate([swept, mode.eval(pm.x[i_asym + 1:])], axis=1)
     res = _rel_residual(pm, lam, pm.x, f, g, fp, gp)
-    return JostSolution(lam=float(lam), mu=mu, x=pm.x, f=f, g=g, fp=fp, gp=gp,
-                        x_asym=float(xs_tail[0]), mode=mode, residual=res,
-                        asym_deviation=asym_dev)
+    return JostSolution(lam=float(lam), mu=pm.mu, x=pm.x, f=f, g=g, fp=fp, gp=gp,
+                        x_asym=x_asym, mode=mode, residual=res,
+                        asym_deviation=float(pm._sup_envelope[i_asym - len(pm.x)]))
 
 
 def decaying_solution(lam: float, gs: GroundState | None = None,
@@ -388,24 +333,21 @@ def decaying_solution(lam: float, gs: GroundState | None = None,
 
 
 def integrate_from_mode(pm: PotentialMatrix, lam: float, mode_index: int) -> JostSolution:
-    """Diagnostic: integrate backward from pure mode data (no correction).
+    """Diagnostic: integrate backward from pure mode data at the station x_asym.
 
-    Useful for building independent solutions whose pairwise bilinear
-    invariant (see wronskian) gates integration quality.
+    Mode 0 reproduces the decaying solution's sweep on [-R, x_asym]. Useful
+    for building independent solutions whose pairwise bilinear invariant
+    (see wronskian) gates integration quality.
     """
-    modes = asymptotic_modes(lam, pm.mu, end=+1)
-    mode = modes[mode_index]
-    x_asym = pm.negligible_from(V_NEGLIGIBLE)
-    i_asym = int(np.searchsorted(pm.x, x_asym - 0.5 * pm.h))
+    mode = asymptotic_modes(lam, pm.mu, end=+1)[mode_index]
+    i_asym = _station(pm)
     xs = pm.x[:i_asym + 1]
-    f0, g0, fp0, gp0 = mode.eval(xs[-1])
-    y0 = np.array([float(f0), float(g0), float(fp0), float(gp0)])
-    f, g, fp, gp = _sweep_states(pm, lam, y0, i_asym, 0)
+    f, g, fp, gp = _sweep_states(pm, lam, np.array(mode.eval(xs[-1])), i_asym, 0)
     res = _rel_residual(pm, lam, xs, f, g, fp, gp)
     return JostSolution(lam=float(lam), mu=pm.mu, x=xs, f=f, g=g, fp=fp, gp=gp,
                         x_asym=float(xs[-1]), mode=mode, residual=res,
                         asym_deviation=float("nan"),
-                        normalization=f"pure mode {mode.kind} seed, no correction")
+                        normalization=f"pure mode {mode.kind} seed at x_asym")
 
 
 def wronskian(s1: JostSolution, s2: JostSolution) -> np.ndarray:

@@ -36,7 +36,7 @@ from scipy.linalg import eig as dense_eig
 from scipy.sparse.linalg import eigs as sparse_eigs
 
 from .errors import DomainError, GridMismatchError, SolispecError
-from .ground_state import H_FACTOR, R_FACTOR, GroundState
+from .ground_state import GroundState, profile_grid
 from .nonlinearity import Nonlinearity
 
 DENSE_GRID_LIMIT = 4000     # dense eigensolve up to this many grid points
@@ -147,16 +147,10 @@ def decoupled_well_potential(mu: float, depth: float, R: float | None = None,
 
     In the (a, b) parametrization this is a = V, b = 0: the two channels do
     not mix, which is the classical mechanism that lets a scalar bound state
-    sit inside the essential spectrum of the matrix operator.
+    sit inside the essential spectrum of the matrix operator. The grid is
+    ground_state.profile_grid's, defaults included.
     """
-    if mu <= 0:
-        raise DomainError(f"mu must be positive, got {mu}")
-    sq = np.sqrt(mu)
-    if R is None:
-        R = R_FACTOR / sq
-    if h is None:
-        h = H_FACTOR / sq
-    n = int(round(R / h))
+    R, n, _, _ = profile_grid(mu, R, h)
     x = np.linspace(-R, R, 2 * n + 1)
     a = depth / np.cosh(x) ** 2
     return PotentialMatrix(x=x, mu=mu, a=a, b=np.zeros_like(x),
@@ -189,8 +183,8 @@ def apply_H_potential(pm: PotentialMatrix, w: GridField2) -> GridField2:
 
 
 def _normalize_sign(sign) -> int:
-    """+1 selects L_plus and -1 L_minus; also accepts '+'/'-' and 'plus'/'minus'."""
-    s = {"+": 1, "-": -1, 1: 1, -1: -1, "plus": 1, "minus": -1}.get(sign)
+    """+1 selects L_plus and -1 L_minus; also accepts '+'/'-'."""
+    s = {"+": 1, "-": -1, 1: 1, -1: -1}.get(sign)
     if s is None:
         raise DomainError("sign must be '+'/'-' or +1/-1")
     return s

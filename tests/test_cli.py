@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import solispec.certificate
+import solispec.cli
 from solispec.cli import main
 from solispec.config import DEFAULTS, RunConfig, print_defaults
 
@@ -289,3 +290,38 @@ def test_small_box_warns(tmp_path):
     path.write_text(json.dumps(cfg))
     with pytest.warns(UserWarning, match="far-field"):
         RunConfig.from_file(str(path)).validate()
+
+
+@pytest.mark.parametrize("command, grid, message", [
+    ("ground", {"h": 1.5}, "fewer than 10 grid points"),
+    ("ground", {"R": 8.0}, "too small to reach the far field"),
+    ("scan", {"R": 8.0}, "too small to reach the far field"),
+    ("ground", {"R": 20.0, "h": 30.0}, "invalid grid parameters"),
+])
+def test_bad_main_grid_exits_2(tmp_path, capsys, command, grid, message):
+    """The profile grid is checked when the config is validated, and blamed by name."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"grid": grid}))
+    out = str(tmp_path / "out.json")
+    assert main([command, "--config", str(path), "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error: grid: " in err and message in err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("argv", [
+    ["jost", "--lambda", "0.5"],
+    ["jost", "--lambda", "-2"],
+    ["jost", "--lambda", "nan"],
+    ["invert-check", "--lambda", "0.5"],
+    ["invert-check", "--lambda", "2.0", "--x0", "-1"],
+    ["invert-check", "--lambda", "2.0", "--x0", "0"],
+    ["invert-check", "--lambda", "2.0", "--x0", "16"],
+])
+def test_out_of_range_cli_numbers_exit_2(cfg_path, capsys, monkeypatch, argv):
+    """Energies off the positive branch and x0 outside (0, R - 5) are refused before any solve."""
+    def no_solve(*args, **kwargs):
+        raise AssertionError("ground state solved for a rejected argument")
+    monkeypatch.setattr(solispec.cli, "solve_ground_state", no_solve)
+    assert main([*argv, "--config", cfg_path]) == 2
+    assert "configuration error" in capsys.readouterr().err

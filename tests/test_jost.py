@@ -311,3 +311,26 @@ def test_decaying_solution_accepts_rtol(pm_cubic):
     for key in ("f", "g", "fp", "gp"):
         assert np.array_equal(getattr(sol, key), getattr(plain, key))
     assert sol.residual <= 1e-8
+
+
+@pytest.mark.parametrize("lam", [1.0, 2.0, 10.0, -3.0])
+def test_decaying_sweep_is_mode_zero_sweep(pm_cubic, lam):
+    """Both sweeps start from the same pure-mode data at the same station, so the
+    decaying solution equals integrate_from_mode(..., 0) on [-R, x_asym] bit for bit."""
+    dec = sp_jost._sweep_decaying(pm_cubic, lam)
+    diag = sp.integrate_from_mode(pm_cubic, lam, 0)
+    n = len(diag.x)
+    assert dec.x_asym == diag.x_asym == diag.x[-1]
+    for key in ("f", "g", "fp", "gp"):
+        assert np.array_equal(getattr(dec, key)[:n], getattr(diag, key)), key
+
+
+def test_asym_deviation_is_neglected_potential(pm_cubic):
+    """asym_deviation is the sup of max(|a|, |b|) beyond the station, zero without a potential."""
+    sol = sp_jost._sweep_decaying(pm_cubic, 2.0)
+    beyond = np.abs(sol.x) >= sol.x_asym
+    sup = np.max(np.maximum(np.abs(pm_cubic.a), np.abs(pm_cubic.b))[beyond])
+    assert sol.asym_deviation == sup
+    assert 0.0 < sol.asym_deviation <= sp_jost.V_NEGLIGIBLE
+    pm0 = sp.decoupled_well_potential(1.0, 0.0, R=25.0, h=2e-3)
+    assert sp.decaying_solution(2.0, potential=pm0).asym_deviation == 0.0
