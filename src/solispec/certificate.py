@@ -21,8 +21,9 @@ witnesses that the solution cannot be square integrable:
 
 Energies lambda <= -mu reduce to the positive branch through the exact
 conjugation S H S = -H, S(f, g) = (g, f), which maps solutions at lambda
-to solutions at -lambda with v -> -v. A direct negative-branch computation
-is also available for cross-checks.
+to solutions at -lambda with v -> -v: their record is reflect_spectrum of
+the record at |lambda|. A direct negative-branch computation is also
+available for cross-checks.
 
 negative_control runs the same machinery on the decoupled operator
 H0 + diag(V, -V) with a sech^2 well, which genuinely carries an embedded
@@ -54,6 +55,7 @@ VERDICT_CANDIDATE = "embedded-candidate"
 VERDICT_INCONCLUSIVE = "inconclusive"
 
 SCHEMA_VERSION = 1
+THRESHOLD_RELAX = 0.1     # slack on both thresholds exactly at |lambda| = mu
 
 
 def report_header(config_hash: str | None) -> dict:
@@ -69,10 +71,9 @@ class Thresholds:
 
     theta_cert: float = 1e-3
     theta_mismatch: float = 1e-3
-    threshold_relax: float = 0.1     # extra slack exactly at |lambda| = mu
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {**asdict(self), "threshold_relax": THRESHOLD_RELAX}
 
 
 @dataclass(frozen=True)
@@ -106,13 +107,6 @@ def _error_record(lam: float, msg: str) -> CertificateRecord:
                              verdict=VERDICT_INCONCLUSIVE, error=msg)
 
 
-def _orientation(sol: JostSolution) -> float:
-    """Sign of the leading decaying coefficient (flip to enforce c = +1)."""
-    tail = sol.x >= sol.x_asym - 0.5 * (sol.x[1] - sol.x[0])
-    lead = (sol.f if sol.mode.channel == 0 else sol.g)[tail][0]
-    return 1.0 if lead >= 0 else -1.0
-
-
 def _strictly_positive(y: np.ndarray) -> bool:
     return bool(np.all(y > 0.0))
 
@@ -121,21 +115,18 @@ def _derivative_5pt(arr: np.ndarray, i: int, h: float) -> float:
     return float((-arr[i + 2] + 8 * arr[i + 1] - 8 * arr[i - 1] + arr[i - 2]) / (12 * h))
 
 
-def _score_solution(pm: PotentialMatrix, sol: JostSolution, lam: float,
-                    th: Thresholds, flip: bool, method_name: str) -> CertificateRecord:
-    """Turn a decaying solution into a certificate record (scale invariant)."""
-    mu = pm.mu
+def _score_solution(pm: PotentialMatrix, sol: JostSolution, th: Thresholds,
+                    method_name: str) -> CertificateRecord:
+    """Turn a decaying solution into a certificate record; the verdict and the normalized
+    witnesses are scale invariant, the signs of v0 and v0p follow the solution's."""
+    lam, mu = sol.lam, pm.mu
     thr = at_threshold(lam, mu)
-    relax = th.threshold_relax if thr else 1.0
-
-    orient = _orientation(sol)
-    if orient < 0:
-        sol = sol.scaled(-1.0)
+    relax = THRESHOLD_RELAX if thr else 1.0
 
     sgn_v = 1.0 if lam >= 0 else -1.0
     u = sol.f + sol.g
-    v = -(sol.f - sol.g) if flip else sol.f - sol.g
-    vp = sol.gp - sol.fp if flip else sol.fp - sol.gp
+    v = sol.f - sol.g
+    vp = sol.fp - sol.gp
 
     h = float(sol.x[1] - sol.x[0])
     i0 = int(np.argmin(np.abs(sol.x)))
@@ -156,7 +147,7 @@ def _score_solution(pm: PotentialMatrix, sol: JostSolution, lam: float,
     v0_norm = abs(v0) / v_near_max if v_near_max > 0 else 0.0
     v0p_norm = abs(v0p) / vp_near_max if vp_near_max > 0 else 0.0
 
-    window = default_window(pm, abs(lam) if flip else lam, end=-1)
+    window = default_window(pm, lam, end=-1)
     exp = expand_in_modes(sol, end=-1, window=window)
     sup_mask = np.abs(sol.x) <= 5.0 / sq
     sup_mid = float(np.max(np.maximum(np.abs(sol.f[sup_mask]), np.abs(sol.g[sup_mask]))))
@@ -174,7 +165,7 @@ def _score_solution(pm: PotentialMatrix, sol: JostSolution, lam: float,
     else:
         verdict = VERDICT_INCONCLUSIVE
 
-    return CertificateRecord(lam=float(lam), v0=v0, v0p=v0p, v0_norm=v0_norm,
+    return CertificateRecord(lam=lam, v0=v0, v0p=v0p, v0_norm=v0_norm,
                              v0p_norm=v0p_norm, u_positive=u_positive,
                              v_signed=v_signed, mismatch=mismatch,
                              c_grow_signed=c_grow_signed, fit_residual=exp.residual,
@@ -186,10 +177,9 @@ def _certify_potential(pm: PotentialMatrix, lam: float,
                        method: str = "reflect") -> CertificateRecord:
     """Core certificate at one energy on a prebuilt potential."""
     th = thresholds or Thresholds()
-    flip = lam < 0 and method != "direct"
-    sol = _sweep_decaying(pm, -lam if flip else lam)
-    method_name = "direct" if (lam < 0 and method == "direct") else "reflect"
-    return _score_solution(pm, sol, lam, th, flip, method_name)
+    if lam < 0 and method != "direct":
+        return reflect_spectrum(_certify_potential(pm, -lam, th))
+    return _score_solution(pm, _sweep_decaying(pm, lam), th, "direct" if lam < 0 else "reflect")
 
 
 def certify_lambda(gs: GroundState, nl: Nonlinearity, lam: float,
@@ -207,7 +197,7 @@ def reflect_spectrum(obj):
     with v -> -v.
     """
     if isinstance(obj, JostSolution):
-        mode = replace(obj.mode, lam=-obj.mode.lam, channel=1 - obj.mode.channel)
+        mode = replace(obj.mode, channel=1 - obj.mode.channel)
         return replace(obj, lam=-obj.lam, f=obj.g, g=obj.f, fp=obj.gp, gp=obj.fp,
                        mode=mode)
     if isinstance(obj, CertificateRecord):
@@ -288,7 +278,7 @@ def _scan(pm: PotentialMatrix, lambdas, thresholds: Thresholds | None, workers: 
           ground_meta: dict, nonlinearity_meta: dict) -> ScanReport:
     """Certify every energy of a grid on a prebuilt potential.
 
-    The grid must be non-empty, strictly increasing and outside the
+    The grid must be non-empty, finite, strictly increasing and outside the
     spectral gap. Per-energy failures become inconclusive records instead
     of aborting the scan. Records come back sorted by energy regardless of
     worker count, so reports are deterministic.
@@ -297,6 +287,8 @@ def _scan(pm: PotentialMatrix, lambdas, thresholds: Thresholds | None, workers: 
     lams = [float(v) for v in np.asarray(lambdas, dtype=float)]
     if len(lams) == 0:
         raise ConfigurationError("empty lambda grid")
+    if not np.all(np.isfinite(lams)):
+        raise ConfigurationError("lambda grid must be finite")
     if np.any(np.diff(lams) <= 0):
         raise ConfigurationError("lambda grid must be strictly increasing")
     mu = pm.mu
@@ -331,6 +323,8 @@ def sech_well_levels(mu: float, depth: float) -> list[float]:
     E_n = -(s - n)^2 with s = (-1 + sqrt(1 + 4*depth)) / 2, so the embedded
     energies of the decoupled matrix operator are lambda_n = (s - n)^2 - mu.
     """
+    if not math.isfinite(depth):
+        raise DomainError(f"well depth must be finite, got {depth}")
     if depth <= 0:
         return []
     s = 0.5 * (-1.0 + math.sqrt(1.0 + 4.0 * depth))

@@ -179,6 +179,8 @@ def cmd_control(args) -> int:
         raise ConfigurationError("control needs --lmin and --lmax together")
     if args.n is not None and args.n < 1:
         raise ConfigurationError(f"control needs --n >= 1, got {args.n}")
+    if not np.isfinite(args.depth):
+        raise ConfigurationError(f"control needs a finite --depth, got {args.depth}")
     cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
     if args.mu is not None:
         cfg.raw["mu"] = args.mu

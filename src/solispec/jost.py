@@ -70,8 +70,6 @@ class AsymptoticMode:
     kind: str
     channel: int
     value: float
-    lam: float
-    mu: float
     end: int = +1
 
     def eval(self, x):
@@ -141,22 +139,23 @@ def asymptotic_modes(lam: float, mu: float, end: int = +1) -> tuple[AsymptoticMo
     exp_channel = 0 if lam >= 0 else 1
     osc_channel = 1 - exp_channel
     kappa = math.sqrt(mu + abs(lam))
-    dec = AsymptoticMode("decaying", exp_channel, kappa, lam, mu, end)
-    grow = AsymptoticMode("growing", exp_channel, kappa, lam, mu, end)
+    dec = AsymptoticMode("decaying", exp_channel, kappa, end)
+    grow = AsymptoticMode("growing", exp_channel, kappa, end)
     if at_threshold(lam, mu):
-        m3 = AsymptoticMode("const", osc_channel, 0.0, lam, mu, end)
-        m4 = AsymptoticMode("linear", osc_channel, 0.0, lam, mu, end)
+        m3 = AsymptoticMode("const", osc_channel, 0.0, end)
+        m4 = AsymptoticMode("linear", osc_channel, 0.0, end)
     else:
         omega = math.sqrt(abs(lam) - mu)
-        m3 = AsymptoticMode("cos", osc_channel, omega, lam, mu, end)
-        m4 = AsymptoticMode("sin", osc_channel, omega, lam, mu, end)
+        m3 = AsymptoticMode("cos", osc_channel, omega, end)
+        m4 = AsymptoticMode("sin", osc_channel, omega, end)
     return dec, grow, m3, m4
 
 
 @dataclass(frozen=True)
 class JostSolution:
-    """Samples of a solution of (H - lambda) w = 0 with declared +inf behavior; asym_deviation
-    is the potential its pure-mode tail neglects, the largest max(|a|, |b|) at |t| >= x_asym."""
+    """Samples of a solution of (H - lambda) w = 0 with declared +inf behavior. residual is
+    the stencil residual of the swept part, [-R, x_asym]; asym_deviation is the potential
+    the pure-mode tail neglects, the largest max(|a|, |b|) at |t| >= x_asym."""
 
     lam: float
     mu: float
@@ -292,12 +291,9 @@ def _station(pm: PotentialMatrix) -> int:
 
 
 def _sweep_decaying(pm: PotentialMatrix, lam: float) -> JostSolution:
-    """Backward sweep of the decaying solution; valid for any |lam| >= mu.
-
-    Beyond the station x_asym the samples are the pure decaying mode, whose
-    value there seeds the sweep; asym_deviation is the potential this tail
-    neglects, read from the cached sup envelope.
-    """
+    """The mode-0 sweep of integrate_from_mode continued by the pure decaying mode beyond
+    the station x_asym; valid for any |lam| >= mu. asym_deviation is the potential this
+    tail neglects, read from the cached sup envelope."""
     mode = asymptotic_modes(lam, pm.mu, end=+1)[0]
     i_asym = _station(pm)
     x_asym = float(pm.x[i_asym])
@@ -305,12 +301,12 @@ def _sweep_decaying(pm: PotentialMatrix, lam: float) -> JostSolution:
         raise DomainError(
             f"kappa * x_asym = {mode.value * x_asym:.0f} underflows the tail normalization; "
             "lambda is too large for this grid")
-    swept = _sweep_states(pm, lam, np.array(mode.eval(x_asym)), i_asym, 0)
-    f, g, fp, gp = np.concatenate([swept, mode.eval(pm.x[i_asym + 1:])], axis=1)
-    res = _rel_residual(pm, lam, pm.x, f, g, fp, gp)
-    return JostSolution(lam=float(lam), mu=pm.mu, x=pm.x, f=f, g=g, fp=fp, gp=gp,
-                        x_asym=x_asym, mode=mode, residual=res,
-                        asym_deviation=float(pm._sup_envelope[i_asym - len(pm.x)]))
+    swept = integrate_from_mode(pm, lam, 0)
+    f, g, fp, gp = np.concatenate([(swept.f, swept.g, swept.fp, swept.gp),
+                                   mode.eval(pm.x[i_asym + 1:])], axis=1)
+    return replace(swept, x=pm.x, f=f, g=g, fp=fp, gp=gp,
+                   asym_deviation=float(pm._sup_envelope[i_asym - len(pm.x)]),
+                   normalization=JostSolution.normalization)
 
 
 def decaying_solution(lam: float, gs: GroundState | None = None,
@@ -335,9 +331,9 @@ def decaying_solution(lam: float, gs: GroundState | None = None,
 def integrate_from_mode(pm: PotentialMatrix, lam: float, mode_index: int) -> JostSolution:
     """Diagnostic: integrate backward from pure mode data at the station x_asym.
 
-    Mode 0 reproduces the decaying solution's sweep on [-R, x_asym]. Useful
-    for building independent solutions whose pairwise bilinear invariant
-    (see wronskian) gates integration quality.
+    Mode 0 is the decaying solution on [-R, x_asym]. Useful for building
+    independent solutions whose pairwise bilinear invariant (see wronskian)
+    gates integration quality.
     """
     mode = asymptotic_modes(lam, pm.mu, end=+1)[mode_index]
     i_asym = _station(pm)
@@ -373,10 +369,6 @@ class ModeExpansion:
     uncertainties: np.ndarray     # amplitude error bars propagated from the fit misfit
     residual: float               # relative lstsq residual
     cond: float
-    window: tuple[float, float]
-    end: int
-    kinds: tuple[str, ...]
-    x_inner: float
 
 
 def expand_in_modes(sol: JostSolution, end: int, window: tuple[float, float]) -> ModeExpansion:
@@ -421,9 +413,7 @@ def expand_in_modes(sol: JostSolution, end: int, window: tuple[float, float]) ->
     # misfit propagated through the normalized basis gives per-amplitude bars
     unc = misfit * envs / norms
     return ModeExpansion(coeffs=coeffs, amplitudes=amps, uncertainties=unc,
-                         residual=residual, cond=cond,
-                         window=(float(lo), float(hi)), end=end,
-                         kinds=tuple(m.kind for m in modes), x_inner=float(x_inner))
+                         residual=residual, cond=cond)
 
 
 def default_window(pm: PotentialMatrix, lam: float, end: int,

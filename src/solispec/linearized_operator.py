@@ -150,6 +150,8 @@ def decoupled_well_potential(mu: float, depth: float, R: float | None = None,
     sit inside the essential spectrum of the matrix operator. The grid is
     ground_state.profile_grid's, defaults included.
     """
+    if not np.isfinite(depth):
+        raise DomainError(f"well depth must be finite, got {depth}")
     R, n, _, _ = profile_grid(mu, R, h)
     x = np.linspace(-R, R, 2 * n + 1)
     a = depth / np.cosh(x) ** 2

@@ -51,6 +51,15 @@ def test_reflect_solution_solves_mirrored_problem(pm_cubic, jost_cubic_2):
     assert res <= 1e-8
 
 
+@pytest.mark.parametrize("lam", [2.0, 1.0])
+def test_negative_record_is_reflected_positive_record(gs_cubic, nl_cubic, lam):
+    """Under method "reflect" the record at -lambda is reflect_spectrum of the one at
+    lambda, exactly, inside the essential spectrum and at the threshold lambda = mu."""
+    rec = sp.certify_lambda(gs_cubic, nl_cubic, -lam)
+    assert rec == sp.reflect_spectrum(sp.certify_lambda(gs_cubic, nl_cubic, lam))
+    assert rec.lam == -lam
+
+
 def test_double_reflection_identity(jost_cubic_2, gs_cubic, nl_cubic):
     twice = sp.reflect_spectrum(sp.reflect_spectrum(jost_cubic_2))
     assert twice.lam == jost_cubic_2.lam
@@ -63,13 +72,12 @@ def test_double_reflection_identity(jost_cubic_2, gs_cubic, nl_cubic):
 
 def test_scale_invariance_of_scoring(pm_cubic):
     """Scaling the solution by c != 0 leaves verdict, normalized quantities,
-    and the oriented sign product v0*v0p unchanged."""
+    and the sign product v0*v0p unchanged."""
     th = sp.Thresholds()
     sol = _sweep_decaying(pm_cubic, 2.0)
-    base = _score_solution(pm_cubic, sol, 2.0, th, flip=False, method_name="reflect")
+    base = _score_solution(pm_cubic, sol, th, method_name="reflect")
     for c in (-3.7, 0.01, 250.0):
-        rec = _score_solution(pm_cubic, sol.scaled(c), 2.0, th, flip=False,
-                              method_name="reflect")
+        rec = _score_solution(pm_cubic, sol.scaled(c), th, method_name="reflect")
         assert rec.verdict == base.verdict
         assert (rec.v0 * rec.v0p < 0) == (base.v0 * base.v0p < 0)
         assert rec.v0_norm == pytest.approx(base.v0_norm, rel=1e-12)
@@ -136,6 +144,9 @@ def test_scan_validates_grid(gs_cubic, nl_cubic):
         sp.scan_embedded(gs_cubic, nl_cubic, [2.0, 1.5])
     with pytest.raises(sp.ConfigurationError):
         sp.scan_embedded(gs_cubic, nl_cubic, [0.2, 1.5])
+    for grid in ([1.5, float("nan")], [float("nan")], [1.5, float("inf")], [-float("inf"), -1.5]):
+        with pytest.raises(sp.ConfigurationError, match="finite"):
+            sp.scan_embedded(gs_cubic, nl_cubic, grid)
 
 
 def test_scan_errors_become_inconclusive_records(gs_cubic, nl_cubic, monkeypatch):
@@ -177,6 +188,11 @@ def test_sech_well_levels_closed_form():
     assert sp.sech_well_levels(1.0, 0.1) == []
     # depth 12 = 3*4: bound states -9, -4, -1 -> embedded at 8 and 3
     assert sp.sech_well_levels(1.0, 12.0) == [8.0, 3.0]
+    for depth in (float("inf"), float("nan")):
+        with pytest.raises(sp.DomainError):
+            sp.sech_well_levels(1.0, depth)
+        with pytest.raises(sp.DomainError):
+            sp.decoupled_well_potential(1.0, depth)
 
 
 def test_negative_control_detects_embedded_candidate():

@@ -216,10 +216,19 @@ def test_scan_non_object_block_exits_2(tmp_path, capsys, over):
     assert not os.path.exists(out)
 
 
-@pytest.mark.parametrize("grid", [["--n", "0"], ["--lmin", "2.0"], ["--lmax", "4.0"]])
+@pytest.mark.parametrize("grid", [["--n", "0"], ["--lmin", "2.0"], ["--lmax", "4.0"],
+                                  ["--lmin", "nan", "--lmax", "4.0"]])
 def test_control_bad_grid_exits_2(tmp_path, grid):
     out = str(tmp_path / "control.json")
     assert main(["control", "--depth", "6.0", *grid, "--out", out]) == 2
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("depth", ["nan", "inf"])
+def test_control_non_finite_depth_exits_2(tmp_path, capsys, depth):
+    out = str(tmp_path / "control.json")
+    assert main(["control", "--depth", depth, "--out", out]) == 2
+    assert "finite --depth" in capsys.readouterr().err
     assert not os.path.exists(out)
 
 

@@ -315,14 +315,15 @@ def test_decaying_solution_accepts_rtol(pm_cubic):
 
 @pytest.mark.parametrize("lam", [1.0, 2.0, 10.0, -3.0])
 def test_decaying_sweep_is_mode_zero_sweep(pm_cubic, lam):
-    """Both sweeps start from the same pure-mode data at the same station, so the
-    decaying solution equals integrate_from_mode(..., 0) on [-R, x_asym] bit for bit."""
+    """The decaying solution is integrate_from_mode(..., 0) on [-R, x_asym] bit for bit,
+    and its residual covers that swept part only."""
     dec = sp_jost._sweep_decaying(pm_cubic, lam)
     diag = sp.integrate_from_mode(pm_cubic, lam, 0)
     n = len(diag.x)
     assert dec.x_asym == diag.x_asym == diag.x[-1]
     for key in ("f", "g", "fp", "gp"):
         assert np.array_equal(getattr(dec, key)[:n], getattr(diag, key)), key
+    assert dec.residual == diag.residual
 
 
 def test_asym_deviation_is_neglected_potential(pm_cubic):
