@@ -70,9 +70,9 @@ def _solve_ground(cfg: RunConfig, nl: Nonlinearity):
 
 
 def _check_lambda(cfg: RunConfig, lam: float):
-    """The decaying solution is built for lambda >= mu; refuse other energies before any solve."""
-    if not lam >= cfg.mu * (1.0 - THRESHOLD_REL):
-        raise ConfigurationError(f"--lambda must be >= mu = {cfg.mu}, got {lam}")
+    """The decaying solution is built for finite lambda >= mu; refuse others before any solve."""
+    if not (np.isfinite(lam) and lam >= cfg.mu * (1.0 - THRESHOLD_REL)):
+        raise ConfigurationError(f"--lambda must be finite and >= mu = {cfg.mu}, got {lam}")
 
 
 def _thresholds(cfg: RunConfig) -> Thresholds:

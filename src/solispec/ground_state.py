@@ -113,10 +113,7 @@ def _shoot_seed(nl, mu):
     def phi(s):
         return nl.G(s) - mu * s
 
-    s_hi_cap = 1e9
-    if nl.family == "tabulated":
-        s_hi_cap = nl.table[0][-1]
-    grid = np.geomspace(1e-8 * max(mu, 1e-8), s_hi_cap, 600)
+    grid = np.geomspace(1e-8 * max(mu, 1e-8), min(1e9, nl.s_max), 600)
     vals = phi(grid)
     pos = np.nonzero(vals > 0)[0]
     if pos.size == 0:

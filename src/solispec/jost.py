@@ -119,6 +119,8 @@ def at_threshold(lam: float, mu: float) -> bool:
 
 
 def _reject_gap(lam: float, mu: float):
+    if not math.isfinite(lam):
+        raise DomainError(f"lambda must be finite, got {lam}")
     if in_gap(lam, mu):
         raise DomainError(
             f"|lambda| = {abs(lam)} lies inside the spectral gap (-{mu}, {mu}); "
@@ -250,13 +252,14 @@ def _sweep_states(pm: PotentialMatrix, lam: float, y0, i_from: int, i_to: int) -
         k1 = min(k + PROPAGATOR_CHUNK, n)
         T[k:k1] = _step_propagators(pm, lam, i_from - k1, i_from - k)[::-1]
     T = T.reshape(nb, m, 4, 4)
-    for t in range(1, m):
-        T[:, t] = T[:, t] @ T[:, t - 1]         # T[:, t] maps a block's entry to its t+1-th state
     entry = np.empty((nb, 4))
     entry[0] = y0
-    for j in range(1, nb):
-        entry[j] = T[j - 1, -1] @ entry[j - 1]
-    states = np.einsum("btij,bj->bti", T, entry)
+    with np.errstate(over="ignore", invalid="ignore"):     # an overflow is raised below
+        for t in range(1, m):
+            T[:, t] = T[:, t] @ T[:, t - 1]     # T[:, t] maps a block's entry to its t+1-th state
+        for j in range(1, nb):
+            entry[j] = T[j - 1, -1] @ entry[j - 1]
+        states = np.einsum("btij,bj->bti", T, entry)
     if not np.all(np.isfinite(states)):
         raise DomainError(f"backward sweep overflowed at lambda = {lam}; too large for this grid")
     return np.concatenate([np.reshape(y0, (1, 4)), states.reshape(-1, 4)[:n]])[::-1].T

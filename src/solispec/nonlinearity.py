@@ -12,10 +12,15 @@ Built-in families:
     cubic_quintic(g)  F(s) = s - g*s**2
     saturable(b)      F(s) = s / (1 + b*s)
     tabulated(s, F)   monotone cubic interpolation through user samples
+
+A closed-form family is one entry of _CLOSED_FORMS, (F, F', G) as functions
+of (s, parameter), plus a factory classmethod of the same name that checks
+the parameter.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -24,24 +29,27 @@ from scipy.interpolate import PchipInterpolator
 
 from .errors import DomainError, ExtrapolationError
 
-FAMILIES = ("power", "cubic_quintic", "saturable", "tabulated")
+_CLOSED_FORMS = {
+    "power": (lambda s, p: np.power(s, p),
+              lambda s, p: p * np.power(s, p - 1.0),      # 0**0 == 1 handles the p = 1 endpoint
+              lambda s, p: np.power(s, p + 1.0) / (p + 1.0)),
+    "cubic_quintic": (lambda s, g: s - g * s * s,
+                      lambda s, g: 1.0 - 2.0 * g * s,
+                      lambda s, g: s * s / 2.0 - g * s**3 / 3.0),
+    "saturable": (lambda s, b: s / (1.0 + b * s),
+                  lambda s, b: 1.0 / (1.0 + b * s) ** 2,
+                  lambda s, b: s / b - np.log1p(b * s) / (b * b)),
+}
+FAMILIES = (*_CLOSED_FORMS, "tabulated")
 CHECK_S_MAX = 10.0      # validate() probes F on (0, CHECK_S_MAX]
 CHECK_FD_H = 1e-5       # centered-difference step for the F' check
 CHECK_TOL = 1e-6        # relative tolerance of the F' and G checks
 
 
-def _as_nonneg(s):
-    arr = np.asarray(s, dtype=float)
-    if np.any(arr < 0):
-        raise DomainError(f"s must be nonnegative, got min {arr.min()}")
-    return arr
-
-
-def _match(value, template):
-    """Return a float for scalar input, an ndarray otherwise."""
-    if np.ndim(template) == 0:
-        return float(value)
-    return value
+def _finite(family: str, value: float) -> float:
+    if not math.isfinite(value):
+        raise DomainError(f"{family} family needs a finite parameter, got {value}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -61,19 +69,21 @@ class Nonlinearity:
 
     @classmethod
     def power(cls, p: float) -> "Nonlinearity":
+        p = _finite("power", p)
         if p < 1:
             raise DomainError(f"power family needs exponent p >= 1, got {p}")
-        return cls("power", (float(p),))
+        return cls("power", (p,))
 
     @classmethod
     def cubic_quintic(cls, gamma: float) -> "Nonlinearity":
-        return cls("cubic_quintic", (float(gamma),))
+        return cls("cubic_quintic", (_finite("cubic_quintic", gamma),))
 
     @classmethod
     def saturable(cls, beta: float) -> "Nonlinearity":
+        beta = _finite("saturable", beta)
         if beta <= 0:
             raise DomainError(f"saturable family needs beta > 0, got {beta}")
-        return cls("saturable", (float(beta),))
+        return cls("saturable", (beta,))
 
     @classmethod
     def tabulated(cls, s_values, F_values) -> "Nonlinearity":
@@ -92,15 +102,11 @@ class Nonlinearity:
     @classmethod
     def from_config(cls, block: dict) -> "Nonlinearity":
         family = block.get("family")
-        if family == "power":
-            return cls.power(*block.get("params", ()))
-        if family == "cubic_quintic":
-            return cls.cubic_quintic(*block.get("params", ()))
-        if family == "saturable":
-            return cls.saturable(*block.get("params", ()))
         if family == "tabulated":
             tab = block.get("table", {})
             return cls.tabulated(tab.get("s", ()), tab.get("F", ()))
+        if family in FAMILIES:
+            return getattr(cls, family)(*block.get("params", ()))
         raise DomainError(f"unknown nonlinearity family {family!r}; known: {FAMILIES}")
 
     def to_config(self) -> dict:
@@ -108,7 +114,12 @@ class Nonlinearity:
             return {"family": self.family, "table": {"s": list(self.table[0]), "F": list(self.table[1])}}
         return {"family": self.family, "params": list(self.params)}
 
-    # -- tabulated machinery ------------------------------------------------
+    # -- evaluators ----------------------------------------------------------
+
+    @property
+    def s_max(self) -> float:
+        """End of the range s in [0, s_max] where F is defined: the table end, else inf."""
+        return self.table[0][-1] if self.table is not None else math.inf
 
     @cached_property
     def _interp(self):
@@ -116,61 +127,28 @@ class Nonlinearity:
         p = PchipInterpolator(np.asarray(s), np.asarray(F), extrapolate=False)
         return p, p.derivative(), p.antiderivative()
 
-    def _table_check(self, s):
-        smax = self.table[0][-1]
-        if np.any(np.asarray(s) > smax):
-            raise ExtrapolationError(f"tabulated nonlinearity sampled beyond its range [0, {smax}]")
-
-    # -- evaluators ----------------------------------------------------------
+    def _evaluate(self, which: int, s):
+        """Entry `which` of (F, F', G) at s >= 0: a float for scalar s, an ndarray otherwise."""
+        arr = np.asarray(s, dtype=float)
+        if np.any(arr < 0):
+            raise DomainError(f"s must be nonnegative, got min {arr.min()}")
+        if self.table is None:
+            out = _CLOSED_FORMS[self.family][which](arr, *self.params)
+        elif np.any(arr > self.s_max):
+            raise ExtrapolationError(
+                f"tabulated nonlinearity sampled beyond its range [0, {self.s_max}]")
+        else:
+            out = self._interp[which](arr)
+        return float(out) if np.ndim(s) == 0 else out
 
     def F(self, s):
-        arr = _as_nonneg(s)
-        if self.family == "power":
-            (p,) = self.params
-            out = np.power(arr, p)
-        elif self.family == "cubic_quintic":
-            (g,) = self.params
-            out = arr - g * arr * arr
-        elif self.family == "saturable":
-            (b,) = self.params
-            out = arr / (1.0 + b * arr)
-        else:
-            self._table_check(arr)
-            out = self._interp[0](arr)
-        return _match(out, s)
+        return self._evaluate(0, s)
 
     def dF(self, s):
-        arr = _as_nonneg(s)
-        if self.family == "power":
-            (p,) = self.params
-            # 0**0 == 1 handles the p = 1 endpoint
-            out = p * np.power(arr, p - 1.0)
-        elif self.family == "cubic_quintic":
-            (g,) = self.params
-            out = 1.0 - 2.0 * g * arr
-        elif self.family == "saturable":
-            (b,) = self.params
-            out = 1.0 / (1.0 + b * arr) ** 2
-        else:
-            self._table_check(arr)
-            out = self._interp[1](arr)
-        return _match(out, s)
+        return self._evaluate(1, s)
 
     def G(self, s):
-        arr = _as_nonneg(s)
-        if self.family == "power":
-            (p,) = self.params
-            out = np.power(arr, p + 1.0) / (p + 1.0)
-        elif self.family == "cubic_quintic":
-            (g,) = self.params
-            out = arr * arr / 2.0 - g * arr**3 / 3.0
-        elif self.family == "saturable":
-            (b,) = self.params
-            out = arr / b - np.log1p(b * arr) / (b * b)
-        else:
-            self._table_check(arr)
-            out = self._interp[2](arr)
-        return _match(out, s)
+        return self._evaluate(2, s)
 
     def eval(self, s):
         """Return the triple (F(s), F'(s), G(s))."""
@@ -184,9 +162,8 @@ class Nonlinearity:
         Raises DomainError on failure; returns the measured residuals so
         callers can log them.
         """
-        fd_h, s_max = CHECK_FD_H, CHECK_S_MAX
-        if self.family == "tabulated":
-            s_max = min(s_max, self.table[0][-1] - 2 * fd_h)
+        fd_h = CHECK_FD_H
+        s_max = min(CHECK_S_MAX, self.s_max - 2 * fd_h)
         # stay away from s = 0 where fractional powers have unbounded F'''
         ss = np.linspace(max(10 * fd_h, 5e-3 * s_max), s_max, 101)
         if abs(self.F(0.0)) > 0.0:

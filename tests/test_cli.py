@@ -262,6 +262,8 @@ def test_spectrum_coarse_eigen_grid_exits_2(tmp_path, capsys, n):
     ("spectrum", {"eigen": {"window": [0.5]}}),
     ("spectrum", {"eigen": {"n": 3}}),
     ("spectrum", {"eigen": {"k": True}}),
+    *[("ground", {"nonlinearity": {"family": family, "params": [bad]}})
+      for family in ("power", "cubic_quintic", "saturable") for bad in (float("nan"), float("inf"))],
 ])
 def test_malformed_numbers_exit_2(tmp_path, capsys, command, block):
     """Malformed numbers are configuration errors, not tracebacks or solver failures."""
@@ -326,6 +328,8 @@ def test_bad_main_grid_exits_2(tmp_path, capsys, command, grid, message):
     ["invert-check", "--lambda", "2.0", "--x0", "-1"],
     ["invert-check", "--lambda", "2.0", "--x0", "0"],
     ["invert-check", "--lambda", "2.0", "--x0", "16"],
+    ["jost", "--lambda", "inf"],
+    ["invert-check", "--lambda", "inf"],
 ])
 def test_out_of_range_cli_numbers_exit_2(cfg_path, capsys, monkeypatch, argv):
     """Energies off the positive branch and x0 outside (0, R - 5) are refused before any solve."""

@@ -173,6 +173,11 @@ def test_decaying_solution_rejects_gap_and_negative(gs_cubic, nl_cubic):
         sp.decaying_solution(0.3, gs_cubic, nl_cubic)
     with pytest.raises(sp.DomainError):
         sp.decaying_solution(-2.0, gs_cubic, nl_cubic)
+    for lam in (float("nan"), float("inf")):
+        with pytest.raises(sp.DomainError, match="finite"):
+            sp.decaying_solution(lam, gs_cubic, nl_cubic)
+        with pytest.raises(sp.DomainError, match="finite"):
+            sp.certify_lambda(gs_cubic, nl_cubic, lam)
 
 
 def test_station_beyond_grid_rejected(nl_cubic):

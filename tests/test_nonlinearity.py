@@ -95,7 +95,8 @@ def test_tabulated_must_vanish_at_zero():
 def test_from_config_round_trip():
     nl = Nonlinearity.from_config({"family": "saturable", "params": [0.5]})
     assert nl.family == "saturable"
-    assert Nonlinearity.from_config(nl.to_config()) == nl
+    for nl in ALL_FAMILIES:
+        assert Nonlinearity.from_config(nl.to_config()) == nl
 
 
 def test_unknown_family_rejected():
