@@ -111,10 +111,6 @@ def _strictly_positive(y: np.ndarray) -> bool:
     return bool(np.all(y > 0.0))
 
 
-def _derivative_5pt(arr: np.ndarray, i: int, h: float) -> float:
-    return float((-arr[i + 2] + 8 * arr[i + 1] - 8 * arr[i - 1] + arr[i - 2]) / (12 * h))
-
-
 def _score_solution(pm: PotentialMatrix, sol: JostSolution, th: Thresholds,
                     method_name: str) -> CertificateRecord:
     """Turn a decaying solution into a certificate record; the verdict and the normalized
@@ -138,7 +134,7 @@ def _score_solution(pm: PotentialMatrix, sol: JostSolution, th: Thresholds,
     v_signed = _strictly_positive(sgn_v * v[pos_mask])
 
     v0 = float(v[i0])
-    v0p = _derivative_5pt(v, i0, h)
+    v0p = float(vp[i0])
 
     sq = math.sqrt(mu)
     near = (sol.x >= 0.0) & (sol.x <= 5.0 / sq)
@@ -328,14 +324,9 @@ def sech_well_levels(mu: float, depth: float) -> list[float]:
     if depth <= 0:
         return []
     s = 0.5 * (-1.0 + math.sqrt(1.0 + 4.0 * depth))
-    levels = []
-    n = 0
-    while s - n > 0:
-        lam = (s - n) ** 2 - mu
-        if lam >= mu:
-            levels.append(lam)
-        n += 1
-    return sorted(levels, reverse=True)
+    count = math.floor(s - math.sqrt(2.0 * mu)) + 1     # lambda_n >= mu iff n <= s - sqrt(2 mu)
+    levels = (s - np.arange(count)) ** 2 - mu
+    return levels[levels >= mu].tolist()                # drops a level rounded below mu
 
 
 def control_scan(mu: float, well_depth: float, lambdas,

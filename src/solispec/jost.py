@@ -21,7 +21,8 @@ with one step per grid cell. Writing y' = (A0 + P(x)) y with the free part
 A0 and the potential part P, it applies classical RK4 to exp(-x A0) y, so
 the free flow exp(s A0) enters in closed form and the step is exact when
 P = 0: a pure mode stays pure to rounding, whatever its rate or frequency.
-P enters at the nodes and, through its cubic spline, at the cell midpoints.
+P enters at the nodes and, through the cubic on the four nodes around each
+cell, at the cell midpoints.
 The system is linear, so each step is a 4x4 matrix; all are built at once,
 each with its own spacing x[i+1] - x[i], because linspace spacings differ
 by ~1e-11 relative and a nominal h would put that error into every step.
@@ -245,7 +246,6 @@ def _sweep_states(pm: PotentialMatrix, lam: float, y0, i_from: int, i_to: int) -
     n = i_from - i_to
     m = math.isqrt(n - 1) + 1                   # block length, ceil(sqrt(n))
     nb = -(-n // m)
-    pm.midpoint_entries                         # a first use builds the spline: do it before T
     T = np.empty((nb * m, 4, 4))                # step k maps node i_from - k to i_from - k - 1
     T[n:] = np.eye(4)
     for k in range(0, n, PROPAGATOR_CHUNK):
@@ -419,22 +419,19 @@ def expand_in_modes(sol: JostSolution, end: int, window: tuple[float, float]) ->
                          residual=residual, cond=cond)
 
 
-def default_window(pm: PotentialMatrix, lam: float, end: int,
-                   station_threshold: float | None = None) -> tuple[float, float]:
+def default_window(pm: PotentialMatrix, lam: float, end: int) -> tuple[float, float]:
     """Fit window where the potential is negligible, sized to the local modes.
 
     The width covers three oscillation periods when that fits, clipped to
     [4, 8] / sqrt(mu); the window hugs the station where max(|a|, |b|)
-    falls below station_threshold (default 1e-5 * mu).
+    falls below 1e-5 * mu.
     """
     mu = pm.mu
     _reject_gap(lam, mu)
     sq = math.sqrt(mu)
-    if station_threshold is None:
-        station_threshold = 1e-5 * mu
     # keep the station outside the [-5, 5]/sqrt(mu) normalization region so
     # growing-mode content is measured where it dominates
-    x_s = max(pm.negligible_from(station_threshold), 6.0 / sq)
+    x_s = max(pm.negligible_from(1e-5 * mu), 6.0 / sq)
     W = 8.0 / sq
     if not at_threshold(lam, mu):
         W = min(max(3.0 * 2.0 * math.pi / math.sqrt(abs(lam) - mu), 4.0 / sq), 8.0 / sq)

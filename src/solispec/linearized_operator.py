@@ -31,7 +31,6 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.interpolate import CubicSpline
 from scipy.linalg import eig as dense_eig
 from scipy.sparse.linalg import eigs as sparse_eigs
 
@@ -69,14 +68,15 @@ class PotentialMatrix:
     def R(self) -> float:
         return float(self.x[-1])
 
-    @cached_property
-    def _spline(self):
-        return CubicSpline(self.x, np.column_stack([self.a, self.b]), axis=0)
-
     def entries_at(self, xv):
-        """Spline evaluation of (a, b) between grid nodes (exact at nodes)."""
-        out = self._spline(xv)
-        return out[..., 0], out[..., 1]
+        """(a, b) from the cubic through the four nodes around each point (shifted inward at
+        the walls); the cell comes from searchsorted, so interior nodes give their samples."""
+        x = self.x
+        i = np.clip(np.searchsorted(x, xv, side="right") - 1, 1, len(x) - 3)
+        t = (np.asarray(xv) - x[i]) / (x[i + 1] - x[i])
+        w = (-t * (t - 1) * (t - 2) / 6, (t + 1) * (t - 1) * (t - 2) / 2,
+             -(t + 1) * t * (t - 2) / 2, (t + 1) * t * (t - 1) / 6)
+        return tuple(sum(wk * y[i + k - 1] for k, wk in enumerate(w)) for y in (self.a, self.b))
 
     @cached_property
     def midpoint_entries(self):

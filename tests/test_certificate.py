@@ -85,6 +85,14 @@ def test_scale_invariance_of_scoring(pm_cubic):
         assert rec.mismatch == pytest.approx(base.mismatch, rel=1e-12)
 
 
+def test_v0p_converges_at_high_energy(gs_cubic, nl_cubic):
+    """v'(0) read from the swept state agrees with the h/2 grid's at lambda = 100, where a
+    difference quotient of v misses it by about 3e-10 relative."""
+    fine = sp.solve_ground_state(nl_cubic, 1.0, h=0.5 * gs_cubic.h)
+    coarse, ref = (sp.certify_lambda(g, nl_cubic, 100.0) for g in (gs_cubic, fine))
+    assert abs(coarse.v0p - ref.v0p) <= 1e-11 * abs(ref.v0p)
+
+
 def test_no_sign_changes_on_half_line(gs_cubic, nl_cubic):
     """Constructive version of the sign argument: u, v never vanish on (0, R]."""
     sol = sp.decaying_solution(2.0, gs_cubic, nl_cubic)
@@ -188,6 +196,9 @@ def test_sech_well_levels_closed_form():
     assert sp.sech_well_levels(1.0, 0.1) == []
     # depth 12 = 3*4: bound states -9, -4, -1 -> embedded at 8 and 3
     assert sp.sech_well_levels(1.0, 12.0) == [8.0, 3.0]
+    assert sp.sech_well_levels(2.0, 12.0) == [7.0, 2.0]      # lambda_1 = mu exactly
+    deep = sp.sech_well_levels(1.0, 1e12)                     # n <= s - sqrt(2) < 999 999
+    assert len(deep) == 999_999 and deep[0] > deep[-1] >= 1.0
     for depth in (float("inf"), float("nan")):
         with pytest.raises(sp.DomainError):
             sp.sech_well_levels(1.0, depth)

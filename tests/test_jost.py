@@ -64,7 +64,8 @@ def test_decaying_solution_cubic_quality(jost_cubic_2):
 
 
 def test_round_trip_expansion_at_station(jost_cubic_2, pm_cubic):
-    win = sp.default_window(pm_cubic, 2.0, end=+1, station_threshold=1e-14)
+    x_s = pm_cubic.negligible_from(1e-14)
+    win = (x_s, x_s + 8.0)
     exp = sp.expand_in_modes(jost_cubic_2, end=+1, window=win)
     assert np.max(np.abs(exp.coeffs - np.array([1.0, 0.0, 0.0, 0.0]))) <= 1e-8
 
@@ -287,9 +288,28 @@ def test_step_propagators_match_dense_lawson(pm_cubic, lam, well):
     assert np.max(np.abs(T - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
+def test_entries_at_nodes_are_samples(pm_cubic):
+    """At interior nodes, the first and last included, the local cubic returns the samples."""
+    a, b = pm_cubic.entries_at(pm_cubic.x[1:-1])
+    assert np.array_equal(a, pm_cubic.a[1:-1]) and np.array_equal(b, pm_cubic.b[1:-1])
+
+
+def test_midpoint_entries_fourth_order():
+    """The midpoints of a depth-6 sech^2 well match the closed form, with the h^4 rate."""
+    err = {}
+    for h in (2e-3, 1e-3):
+        pm = sp.decoupled_well_potential(1.0, 6.0, R=25.0, h=h)
+        am, bm = pm.midpoint_entries
+        xm = 0.5 * (pm.x[:-1] + pm.x[1:])
+        err[h] = np.max(np.abs(am - 6.0 / np.cosh(xm) ** 2))
+        assert not np.any(bm)
+    assert err[1e-3] <= 1e-11
+    assert err[2e-3] >= 12.0 * err[1e-3]
+
+
 def test_residual_reads_potential_at_nodes(pm_cubic, jost_cubic_2):
-    """The spline equals the samples at the nodes, so the residual read off pm.a, pm.b
-    is exactly the one read from the spline, also for a run of nodes at an offset."""
+    """entries_at equals the samples at the nodes, so the residual read off pm.a, pm.b
+    is exactly the one read through entries_at, also for a run of nodes at an offset."""
     sol, i, j = jost_cubic_2, 12345, 23456
     x = sol.x[i:j]
     a, b = pm_cubic.entries_at(x)
