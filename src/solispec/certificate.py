@@ -270,16 +270,9 @@ def _ground_meta(gs: GroundState) -> dict:
             "first_integral_max": gs.first_integral_max}
 
 
-def _scan(pm: PotentialMatrix, lambdas, thresholds: Thresholds | None, workers: int,
-          ground_meta: dict, nonlinearity_meta: dict) -> ScanReport:
-    """Certify every energy of a grid on a prebuilt potential.
-
-    The grid must be non-empty, finite, strictly increasing and outside the
-    spectral gap. Per-energy failures become inconclusive records instead
-    of aborting the scan. Records come back sorted by energy regardless of
-    worker count, so reports are deterministic.
-    """
-    th = thresholds or Thresholds()
+def energy_grid(lambdas, mu: float) -> list[float]:
+    """The energies of a scan as floats; ConfigurationError unless they are non-empty,
+    finite, strictly increasing and outside the spectral gap (-mu, mu)."""
     lams = [float(v) for v in np.asarray(lambdas, dtype=float)]
     if len(lams) == 0:
         raise ConfigurationError("empty lambda grid")
@@ -287,11 +280,22 @@ def _scan(pm: PotentialMatrix, lambdas, thresholds: Thresholds | None, workers: 
         raise ConfigurationError("lambda grid must be finite")
     if np.any(np.diff(lams) <= 0):
         raise ConfigurationError("lambda grid must be strictly increasing")
-    mu = pm.mu
     for lam in lams:
         if in_gap(lam, mu):
             raise ConfigurationError(
                 f"lambda = {lam} lies inside the spectral gap (-{mu}, {mu})")
+    return lams
+
+
+def _scan(pm: PotentialMatrix, lams: list[float], thresholds: Thresholds | None,
+          workers: int, ground_meta: dict, nonlinearity_meta: dict) -> ScanReport:
+    """Certify every energy of a grid checked by energy_grid on a prebuilt potential.
+
+    Per-energy failures become inconclusive records instead of aborting the
+    scan. Records come back sorted by energy regardless of worker count, so
+    reports are deterministic.
+    """
+    th = thresholds or Thresholds()
     if workers > 1:
         # the potential goes to each worker once, not with every chunk of energies
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
@@ -300,7 +304,7 @@ def _scan(pm: PotentialMatrix, lambdas, thresholds: Thresholds | None, workers: 
                                     chunksize=max(1, len(lams) // (4 * workers))))
     else:
         records = [_scan_one(pm, lam, th) for lam in lams]
-    return ScanReport(mu=mu, lambdas=lams, records=records, ground_meta=ground_meta,
+    return ScanReport(mu=pm.mu, lambdas=lams, records=records, ground_meta=ground_meta,
                       nonlinearity_meta=nonlinearity_meta, thresholds=th)
 
 
@@ -308,7 +312,8 @@ def scan_embedded(gs: GroundState, nl: Nonlinearity, lambdas,
                   thresholds: Thresholds | None = None,
                   workers: int = 1) -> ScanReport:
     """Certify every energy of a strictly increasing grid in the essential spectrum."""
-    return _scan(potential_V(gs, nl), lambdas, thresholds, workers,
+    lams = energy_grid(lambdas, gs.mu)
+    return _scan(potential_V(gs, nl), lams, thresholds, workers,
                  _ground_meta(gs), nl.to_config())
 
 
@@ -332,8 +337,9 @@ def sech_well_levels(mu: float, depth: float) -> list[float]:
 def control_scan(mu: float, well_depth: float, lambdas,
                  thresholds: Thresholds | None = None) -> ScanReport:
     """Run the certificate machinery on the decoupled sech^2-well operator."""
+    lams = energy_grid(lambdas, mu)
     pm = decoupled_well_potential(mu, well_depth)
-    return _scan(pm, lambdas, thresholds, 1,
+    return _scan(pm, lams, thresholds, 1,
                  {"mu": mu, "R": pm.R, "h": pm.h, "potential": pm.provenance},
                  {"family": "none (decoupled control)"})
 

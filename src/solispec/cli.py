@@ -20,8 +20,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .certificate import (Thresholds, _ground_meta, control_scan, negative_control,
-                          report_header, scan_embedded, sech_well_levels)
+from .certificate import (Thresholds, _ground_meta, control_scan, energy_grid,
+                          negative_control, report_header, scan_embedded, sech_well_levels)
 from .config import RunConfig, print_defaults
 from .errors import ConfigurationError, HypothesisError, SolispecError
 from .ground_state import eigen_grid, profile_grid, solve_ground_state
@@ -158,11 +158,11 @@ def cmd_scan(args) -> int:
     if isinstance(cfg.raw["scan"], dict):   # a non-object block is left for validate
         cfg.raw["scan"].update(grid)
     cfg.validate()
+    scan = cfg.raw["scan"]
+    lams = energy_grid(np.linspace(scan["lmin"], scan["lmax"], scan["n"]), cfg.mu)
     nl = cfg.nonlinearity()
-    lmin, lmax, n = cfg.scan_grid()
     gs = _solve_ground(cfg, nl)
-    report = scan_embedded(gs, nl, np.linspace(lmin, lmax, n), thresholds=_thresholds(cfg),
-                           workers=cfg.parallelism)
+    report = scan_embedded(gs, nl, lams, thresholds=_thresholds(cfg), workers=cfg.parallelism)
     _json_dump(args.out, _report_payload(report, cfg, args.stamp))
     out_csv = (args.out[:-5] if args.out.endswith(".json") else args.out) + ".csv"
     _csv_dump(out_csv, report.csv_rows())

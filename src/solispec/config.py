@@ -115,7 +115,7 @@ class RunConfig:
                 f"eigen.window must be null or [lo, hi] with -mu < lo < hi < mu, got {window!r}")
         _require_count(c.get("parallelism", 1), "parallelism")
         try:
-            self.nonlinearity().validate()     # F' and G checked against F numerically
+            self.nonlinearity()
         except Exception as exc:
             raise ConfigurationError(f"bad nonlinearity block: {exc}") from exc
         return self
@@ -148,15 +148,6 @@ class RunConfig:
     @property
     def theta_mismatch(self) -> float:
         return float(self.raw["tolerances"]["theta_mismatch"])
-
-    def scan_grid(self):
-        """(lmin, lmax, n) of the scan block, which must lie outside the gap (-mu, mu)."""
-        scan, mu = self.raw["scan"], self.mu
-        lmin, lmax = float(scan["lmin"]), float(scan["lmax"])
-        if not (lmin >= mu or lmax <= -mu):
-            raise ConfigurationError(
-                f"scan block [{lmin}, {lmax}] must satisfy lmin >= mu or lmax <= -mu")
-        return lmin, lmax, int(scan["n"])
 
     @property
     def parallelism(self) -> int:

@@ -54,8 +54,8 @@ class GroundState:
     Arrays cover [-R, R] with spacing h; Q is even and Qp = Q' is odd.
     shoot_value is Q(0), where the backward sweep turns; the name is kept
     because reports carry it. Samples with x > x_replace are the
-    exponential tail tail_amplitude * exp(-tail_rate * x) spliced C^1 at
-    x_replace. c0 and rate come from a log-linear far-field fit of the raw
+    exponential tail c * exp(-sqrt(mu) * x) of the backward sweep, spliced C^1
+    at x_replace. c0 and rate come from a log-linear far-field fit of the raw
     samples and double as decay diagnostics. ode_residual is measured with the
     second-order centered stencil, so it converges at order 2 under grid
     refinement (the adaptive integrator itself contributes no h dependence).
@@ -71,8 +71,6 @@ class GroundState:
     c0: float
     rate: float
     fit_residual: float
-    tail_amplitude: float
-    tail_rate: float
     x_replace: float
     first_integral_max: float
     ode_residual: float
@@ -114,7 +112,8 @@ def _shoot_seed(nl, mu):
         return nl.G(s) - mu * s
 
     grid = np.geomspace(1e-8 * max(mu, 1e-8), min(1e9, nl.s_max), 600)
-    vals = phi(grid)
+    with np.errstate(over="ignore"):    # an infinite G(s) - mu*s beyond the root counts as > 0
+        vals = phi(grid)
     pos = np.nonzero(vals > 0)[0]
     if pos.size == 0:
         raise GroundStateError(
@@ -256,9 +255,8 @@ def solve_ground_state(nl: Nonlinearity, mu: float, R: float | None = None,
     ode_res = float(np.max(np.abs(d2 - (mu * Q[1:-1] - nl.F(Q[1:-1] ** 2) * Q[1:-1]))))
 
     return GroundState(mu=mu, R=R, h=h, x=x, Q=Q, Qp=Qp, shoot_value=float(Q_half[0]),
-                       c0=c0, rate=rate, fit_residual=fit_res, tail_amplitude=c_tail,
-                       tail_rate=sq, x_replace=x_far, first_integral_max=fi_max,
-                       ode_residual=ode_res)
+                       c0=c0, rate=rate, fit_residual=fit_res, x_replace=x_far,
+                       first_integral_max=fi_max, ode_residual=ode_res)
 
 
 def far_field_fit(gs: GroundState, window: tuple[float, float],

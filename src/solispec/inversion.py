@@ -84,7 +84,6 @@ def invert_L(sign, gs: GroundState, v: np.ndarray, x0: float = 1.0):
     vv = np.asarray(v, dtype=float)[i0:]
     h = gs.h
 
-    r_P = gs.tail_rate
     r_v, v_edge = _envelope_rate(xs, vv, sq)
     if v_edge > 0.0 and r_v <= sq * (1.0 + RATE_MARGIN):
         raise HypothesisError(
@@ -94,12 +93,12 @@ def invert_L(sign, gs: GroundState, v: np.ndarray, x0: float = 1.0):
     inner = P * vv
     I1 = _reverse_cumsimp(inner, h)
     if math.isfinite(r_v):
-        I1 += inner[-1] / (r_P + r_v)          # exponential tail beyond R
+        I1 += inner[-1] / (sq + r_v)           # exponential tail beyond R
 
     outer = I1 / (P * P)
     J = _reverse_cumsimp(outer, h)
     if math.isfinite(r_v):
-        J += outer[-1] / (r_v - r_P)
+        J += outer[-1] / (r_v - sq)
 
     return xs, -P * J
 

@@ -157,6 +157,20 @@ def test_scan_validates_grid(gs_cubic, nl_cubic):
             sp.scan_embedded(gs_cubic, nl_cubic, grid)
 
 
+def test_grid_checked_before_potential_build(gs_cubic, nl_cubic, monkeypatch):
+    """Both scan entry points refuse a bad grid before building their potential."""
+    import solispec.certificate as cert
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("potential built for a rejected grid")
+    monkeypatch.setattr(cert, "potential_V", no_build)
+    monkeypatch.setattr(cert, "decoupled_well_potential", no_build)
+    with pytest.raises(sp.ConfigurationError, match="spectral gap"):
+        sp.scan_embedded(gs_cubic, nl_cubic, [0.2, 1.5])
+    with pytest.raises(sp.ConfigurationError, match="strictly increasing"):
+        sp.control_scan(1.0, 6.0, [2.0, 2.0])
+
+
 def test_scan_errors_become_inconclusive_records(gs_cubic, nl_cubic, monkeypatch):
     import solispec.certificate as cert
 

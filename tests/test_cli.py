@@ -118,6 +118,31 @@ def test_scan_grid_in_gap_exits_2(tmp_path, cfg_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("grid", [["--lmin", "5", "--lmax", "5", "--n", "3"],
+                                  ["--lmin", "0.2", "--lmax", "0.8"]])
+def test_scan_bad_grid_exits_2_before_solve(tmp_path, cfg_path, capsys, monkeypatch, grid):
+    """Every energy of the scan grid is checked before the ground state is solved."""
+    def no_solve(*args, **kwargs):
+        raise AssertionError("ground state solved for a rejected grid")
+    monkeypatch.setattr(solispec.cli, "solve_ground_state", no_solve)
+    out = str(tmp_path / "r.json")
+    assert main(["scan", "--config", cfg_path, *grid, "--out", out]) == 2
+    assert "lambda" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("lmin, lmax", [("0.99999999999999", "2"), ("-10", "10")])
+def test_scan_accepts_threshold_and_both_branches(tmp_path, cfg_path, lmin, lmax):
+    """scan accepts the energies scan_embedded certifies: the threshold within its
+    relative tolerance, and a grid spanning the gap with no energy inside it."""
+    out = str(tmp_path / "r.json")
+    assert main(["scan", "--config", cfg_path, "--lmin", lmin, "--lmax", lmax, "--n", "2",
+                 "--out", out]) == 0
+    records = json.loads((tmp_path / "r.json").read_text())["records"]
+    assert [r["lambda"] for r in records] == [float(lmin), float(lmax)]
+    assert records[0]["at_threshold"] == (lmin == "0.99999999999999")
+
+
 def test_scan_determinism_bitwise(tmp_path, cfg_path):
     out1, out2 = str(tmp_path / "r1.json"), str(tmp_path / "r2.json")
     assert main(["scan", "--config", cfg_path, "--out", out1]) == 0
@@ -195,15 +220,16 @@ def test_control_reads_thresholds_from_config(tmp_path):
     assert payload["thresholds"]["theta_cert"] == 1e-3
 
 
-def test_scan_failed_nonlinearity_check_exits_2(tmp_path, cfg_path, capsys, monkeypatch):
-    """A nonlinearity whose F' or G fails its numerical check is a configuration error."""
-    def broken(self, *args, **kwargs):
-        raise solispec.DomainError("F' disagrees with centered differences by 1.0e+00")
-    monkeypatch.setattr(solispec.Nonlinearity, "validate", broken)
-    out = str(tmp_path / "r.json")
-    assert main(["scan", "--config", cfg_path, "--out", out]) == 2
-    assert "bad nonlinearity block" in capsys.readouterr().err
-    assert not os.path.exists(out)
+@pytest.mark.parametrize("p", [13.5, 30.0])
+def test_ground_steep_power_law(tmp_path, p):
+    """Steep power laws are valid inputs; their peak is the root of G(s) = mu*s."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"nonlinearity": {"family": "power", "params": [p]},
+                                "grid": {"R": 20.0, "h": 2e-3}}))
+    out = str(tmp_path / "ground.csv")
+    assert main(["ground", "--config", str(path), "--out", out]) == 0
+    sidecar = json.loads((tmp_path / "ground.json").read_text())
+    assert sidecar["shoot_value"] == pytest.approx((p + 1.0) ** (0.5 / p), abs=1e-12)
 
 
 @pytest.mark.parametrize("over", [[], ["--lmin", "1.5", "--lmax", "3.0", "--n", "2"]])
@@ -264,6 +290,9 @@ def test_spectrum_coarse_eigen_grid_exits_2(tmp_path, capsys, n):
     ("spectrum", {"eigen": {"k": True}}),
     *[("ground", {"nonlinearity": {"family": family, "params": [bad]}})
       for family in ("power", "cubic_quintic", "saturable") for bad in (float("nan"), float("inf"))],
+    *[("ground", {"nonlinearity": {"family": "tabulated",
+                                   "table": {"s": [0.0, 1.0, 2.0, 3.0], "F": [0.0, 1.0, bad, 3.0]}}})
+      for bad in (float("nan"), float("inf"))],
 ])
 def test_malformed_numbers_exit_2(tmp_path, capsys, command, block):
     """Malformed numbers are configuration errors, not tracebacks or solver failures."""
@@ -271,7 +300,10 @@ def test_malformed_numbers_exit_2(tmp_path, capsys, command, block):
     path.write_text(json.dumps(block))
     out = str(tmp_path / "out.json")
     assert main([command, "--config", str(path), "--out", out]) == 2
-    assert "configuration error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    if "nonlinearity" in block:
+        assert "bad nonlinearity block" in err
     assert not os.path.exists(out)
 
 

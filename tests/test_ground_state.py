@@ -111,6 +111,13 @@ def test_other_families_solve_and_decay():
         assert sp.first_integral_residual(gs, nl) <= 1e-10
 
 
+def test_steep_power_law_seed_probe():
+    """The seed probe's G overflows far beyond the first root for power(40); that is
+    no warning, and the peak is the root of G(s) = mu*s."""
+    gs = sp.solve_ground_state(sp.Nonlinearity.power(40.0), 1.0)
+    assert gs.shoot_value == pytest.approx(41.0 ** (1.0 / 80.0), abs=1e-12)
+
+
 def test_no_ground_state_raises_with_diagnostic():
     """Saturable F bounded by 1/beta < mu admits no decaying even profile."""
     with pytest.raises(sp.GroundStateError, match="bracket"):

@@ -3,7 +3,7 @@ import pytest
 from scipy.integrate import trapezoid
 
 import solispec as sp
-from solispec import Nonlinearity
+from solispec import Nonlinearity, nonlinearity
 
 
 ALL_FAMILIES = [
@@ -59,10 +59,14 @@ def test_antiderivative_matches_trapezoid(nl):
 
 
 @pytest.mark.parametrize("nl", ALL_FAMILIES, ids=lambda n: n.family + str(n.params))
-def test_f_vanishes_at_zero_and_validate_passes(nl):
+def test_f_and_g_vanish_at_zero(nl):
     assert nl.F(0.0) == 0.0
     assert nl.G(0.0) == 0.0
-    nl.validate()
+
+
+def test_all_families_cover_every_family():
+    """The closed forms are checked only by the tests above, so each family is in them."""
+    assert sorted({nl.family for nl in ALL_FAMILIES}) == sorted(nonlinearity.FAMILIES)
 
 
 def test_derivative_convergence_is_second_order():
@@ -90,6 +94,15 @@ def test_tabulated_out_of_range_rejected():
 def test_tabulated_must_vanish_at_zero():
     with pytest.raises(sp.DomainError):
         Nonlinearity.tabulated([0.0, 1.0, 2.0, 3.0], [0.1, 1.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize("column", ["s", "F"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_tabulated_non_finite_entry_rejected(column, bad):
+    table = {"s": [0.0, 1.0, 2.0, 3.0], "F": [0.0, 1.0, 2.0, 3.0]}
+    table[column][2] = bad
+    with pytest.raises(sp.DomainError, match="finite"):
+        Nonlinearity.tabulated(table["s"], table["F"])
 
 
 def test_from_config_round_trip():
