@@ -56,6 +56,9 @@ VERDICT_INCONCLUSIVE = "inconclusive"
 
 SCHEMA_VERSION = 1
 THRESHOLD_RELAX = 0.1     # slack on both thresholds exactly at |lambda| = mu
+NEAR = 5.0                # the witnesses are normalized on |x| <= NEAR / sqrt(mu)
+SWEEP_STRIDES = (4, 2)    # cells per certificate sweep step, largest first; else 1
+SWEEP_KH_MAX = 0.1        # largest 2 k h kappa of a certificate sweep at stride k
 
 
 def report_header(config_hash: str | None) -> dict:
@@ -137,7 +140,7 @@ def _score_solution(pm: PotentialMatrix, sol: JostSolution, th: Thresholds,
     v0p = float(vp[i0])
 
     sq = math.sqrt(mu)
-    near = (sol.x >= 0.0) & (sol.x <= 5.0 / sq)
+    near = (sol.x >= 0.0) & (sol.x <= NEAR / sq)
     v_near_max = float(np.max(np.abs(v[near])))
     vp_near_max = float(np.max(np.abs(vp[near])))
     v0_norm = abs(v0) / v_near_max if v_near_max > 0 else 0.0
@@ -145,7 +148,7 @@ def _score_solution(pm: PotentialMatrix, sol: JostSolution, th: Thresholds,
 
     window = default_window(pm, lam, end=-1)
     exp = expand_in_modes(sol, end=-1, window=window)
-    sup_mask = np.abs(sol.x) <= 5.0 / sq
+    sup_mask = np.abs(sol.x) <= NEAR / sq
     sup_mid = float(np.max(np.maximum(np.abs(sol.f[sup_mask]), np.abs(sol.g[sup_mask]))))
     nondecaying = exp.amplitudes[1:]
     mismatch = float(np.sqrt(np.sum(nondecaying**2)) / sup_mid)
@@ -171,11 +174,25 @@ def _score_solution(pm: PotentialMatrix, sol: JostSolution, th: Thresholds,
 def _certify_potential(pm: PotentialMatrix, lam: float,
                        thresholds: Thresholds | None = None,
                        method: str = "reflect") -> CertificateRecord:
-    """Core certificate at one energy on a prebuilt potential."""
+    """Core certificate at one energy on a prebuilt potential.
+
+    The sweep steps k cells at a time and is extrapolated on every 2k-th node
+    (jost._sweep_decaying): k is the largest of SWEEP_STRIDES with
+    2 k h kappa <= SWEEP_KH_MAX (kappa = sqrt(mu + |lambda|)) whose 2k-th nodes hold the
+    left end of |x| <= NEAR / sqrt(mu), else 1. The growing mode puts sup_mid there, so
+    on other nodes the mismatch would move by a few per cent; on the default grids,
+    h = 1e-3/sqrt(mu), that end is node 5000 from the origin, on every 2k-th node.
+    """
     th = thresholds or Thresholds()
     if lam < 0 and method != "direct":
         return reflect_spectrum(_certify_potential(pm, -lam, th))
-    return _score_solution(pm, _sweep_decaying(pm, lam), th, "direct" if lam < 0 else "reflect")
+    # a non-finite lam passes no test, so k = 1 and the sweep's finiteness check rejects it
+    kappa = math.sqrt(pm.mu + abs(lam))
+    near = (len(pm.x) - 1) // 2 - int(np.searchsorted(pm.x, -NEAR / math.sqrt(pm.mu)))
+    k = next((k for k in SWEEP_STRIDES
+              if 2 * k * pm.h * kappa <= SWEEP_KH_MAX and near % (2 * k) == 0), 1)
+    return _score_solution(pm, _sweep_decaying(pm, lam, k), th,
+                           "direct" if lam < 0 else "reflect")
 
 
 def certify_lambda(gs: GroundState, nl: Nonlinearity, lam: float,

@@ -16,13 +16,16 @@ are the pure mode itself, which treats the potential there as zero. The
 solution is normalized so the leading decaying coefficient is exactly 1 at
 the station.
 
-The sweep is Lawson's integrating-factor RK4 (SIAM J. Numer. Anal. 4, 1967)
-with one step per grid cell. Writing y' = (A0 + P(x)) y with the free part
-A0 and the potential part P, it applies classical RK4 to exp(-x A0) y, so
-the free flow exp(s A0) enters in closed form and the step is exact when
-P = 0: a pure mode stays pure to rounding, whatever its rate or frequency.
-P enters at the nodes and, through the cubic on the four nodes around each
-cell, at the cell midpoints.
+The sweep is Lawson's integrating-factor RK4 (SIAM J. Numer. Anal. 4, 1967).
+Writing y' = (A0 + P(x)) y with the free part A0 and the potential part P,
+it applies classical RK4 to exp(-x A0) y, so the free flow exp(s A0) enters
+in closed form and the step is exact when P = 0: a pure mode stays pure to
+rounding, whatever its rate or frequency. decaying_solution and
+integrate_from_mode take one step per grid cell, with P at the nodes and,
+through the cubic on the four nodes around each cell, at the cell
+midpoints. The certificate's sweep (_sweep_decaying with k > 1) steps k
+cells at a time, k even, so every midpoint is a node; it sweeps at k and 2k
+and extrapolates the two on every 2k-th node, where its solution lives.
 The system is linear, so each step is a 4x4 matrix; all are built at once,
 each with its own spacing x[i+1] - x[i], because linspace spacings differ
 by ~1e-11 relative and a nominal h would put that error into every step.
@@ -156,9 +159,11 @@ def asymptotic_modes(lam: float, mu: float, end: int = +1) -> tuple[AsymptoticMo
 
 @dataclass(frozen=True)
 class JostSolution:
-    """Samples of a solution of (H - lambda) w = 0 with declared +inf behavior. residual is
-    the stencil residual of the swept part, [-R, x_asym]; asym_deviation is the potential
-    the pure-mode tail neglects, the largest max(|a|, |b|) at |t| >= x_asym."""
+    """Samples of a solution of (H - lambda) w = 0 with declared +inf behavior, at x: every
+    grid node, or every 2k-th node for a certificate sweep at stride k. residual is the
+    stencil residual of the swept part, the nodes of x in [-R, x_asym] but the three at
+    each end; asym_deviation is the potential the pure-mode tail neglects, the largest
+    max(|a|, |b|) at |t| >= x_asym."""
 
     lam: float
     mu: float
@@ -207,20 +212,26 @@ def _mul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.einsum("ijn,jkn->ikn", A, B)
 
 
-def _step_propagators(pm: PotentialMatrix, lam: float, lo: int, hi: int) -> np.ndarray:
-    """Lawson RK4 propagators from x[i+1] back to x[i] for i in [lo, hi), shape (hi-lo, 4, 4).
+def _step_propagators(pm: PotentialMatrix, lam: float, lo: int, hi: int,
+                      k: int = 1) -> np.ndarray:
+    """Lawson RK4 propagators from x[i+k] back to x[i] for i = lo, lo+k, ... < hi, shape
+    ((hi-lo)/k, 4, 4). A step spans k cells, k = 1 or even: for even k the midpoint of a
+    step is the node i + k/2, so the local cubic's midpoint samples are read only at k = 1.
 
     In 2x2 blocks of y = (q, p): exp(s A0) = [[C, S], [D S, C]] with diagonal
     per-channel C, S, D, and P = [[0, 0], [-V, 0]]. So the stages K2..K4 have
     a zero top half, K3 = Pm Eh, and each block of the step matrix is a few
     products of per-step 2x2 blocks (trailing axis: the step).
     """
-    s = pm.x[lo:hi] - pm.x[lo + 1:hi + 1]       # negative; each step its own length
+    s = pm.x[lo:hi:k] - pm.x[lo + k:hi + 1:k]   # negative; each step its own length
     Ch, Sh = _free_flow(pm.mu, lam, 0.5 * s)
     Cf, Sf = _free_flow(pm.mu, lam, s)
-    am, bm = pm.midpoint_entries
-    V0 = _sym(pm.a[lo + 1:hi + 1], pm.b[lo + 1:hi + 1])
-    Vm, V1 = _sym(am[lo:hi], bm[lo:hi]), _sym(pm.a[lo:hi], pm.b[lo:hi])
+    if k == 1:
+        am, bm = (e[lo:hi] for e in pm.midpoint_entries)
+    else:
+        am, bm = pm.a[lo + k // 2:hi:k], pm.b[lo + k // 2:hi:k]
+    V0 = _sym(pm.a[lo + k:hi + 1:k], pm.b[lo + k:hi + 1:k])
+    Vm, V1 = _sym(am, bm), _sym(pm.a[lo:hi:k], pm.b[lo:hi:k])
     eye, c = np.eye(2)[:, :, None], s / 6.0
     F, G = Vm * Ch, Vm * Sh                     # bottom half of K3 = Pm Eh is -[F, G]
     L = 0.5 * s * _mul(G, V0) - 2.0 * F         # bottom half of K2 + K3 is [L, -2 G]
@@ -235,22 +246,24 @@ def _step_propagators(pm: PotentialMatrix, lam: float, lo: int, hi: int) -> np.n
     return T.transpose(2, 0, 1)
 
 
-def _sweep_states(pm: PotentialMatrix, lam: float, y0, i_from: int, i_to: int) -> np.ndarray:
-    """States (f, g, f', g') at grid nodes i_to..i_from of the backward sweep from y0.
+def _sweep_states(pm: PotentialMatrix, lam: float, y0, i_from: int, i_to: int,
+                  k: int = 1) -> np.ndarray:
+    """States (f, g, f', g') at grid nodes i_to, i_to+k, ..., i_from of the backward sweep
+    from y0, one step per k cells (i_from - i_to a multiple of k).
 
     The step propagators are built in chunks of at most PROPAGATOR_CHUNK
     steps and chained in two passes over about sqrt(n) blocks: the running
     products inside all blocks at once, then each block's entry state in
-    turn. Returns shape (4, i_from - i_to + 1).
+    turn. Returns shape (4, (i_from - i_to)/k + 1).
     """
-    n = i_from - i_to
+    n = (i_from - i_to) // k
     m = math.isqrt(n - 1) + 1                   # block length, ceil(sqrt(n))
     nb = -(-n // m)
-    T = np.empty((nb * m, 4, 4))                # step k maps node i_from - k to i_from - k - 1
+    T = np.empty((nb * m, 4, 4))                # step j maps node i_from - j k to i_from - (j+1) k
     T[n:] = np.eye(4)
-    for k in range(0, n, PROPAGATOR_CHUNK):
-        k1 = min(k + PROPAGATOR_CHUNK, n)
-        T[k:k1] = _step_propagators(pm, lam, i_from - k1, i_from - k)[::-1]
+    for j in range(0, n, PROPAGATOR_CHUNK):
+        j1 = min(j + PROPAGATOR_CHUNK, n)
+        T[j:j1] = _step_propagators(pm, lam, i_from - j1 * k, i_from - j * k, k)[::-1]
     T = T.reshape(nb, m, 4, 4)
     entry = np.empty((nb, 4))
     entry[0] = y0
@@ -266,10 +279,12 @@ def _sweep_states(pm: PotentialMatrix, lam: float, y0, i_from: int, i_to: int) -
 
 
 def _rel_residual(pm: PotentialMatrix, lam: float, x, f, g, fp, gp) -> float:
-    """Sixth-order-stencil relative residual of the 4-system on interior nodes (of pm's grid)."""
+    """Sixth-order-stencil relative residual of the 4-system on interior sample nodes; the
+    samples sit on every k-th node of pm's grid, k read from their spacing."""
     h = float(x[1] - x[0])
     if len(x) < 15:
         return float("nan")
+    k = max(1, round(h / pm.h))
 
     def d2(y):
         out = np.zeros(len(y) - 6)
@@ -278,8 +293,8 @@ def _rel_residual(pm: PotentialMatrix, lam: float, x, f, g, fp, gp) -> float:
         return out / (h * h)
 
     sl = slice(3, -3)
-    i0 = int(np.searchsorted(pm.x, x[0] - 0.5 * pm.h)) + 3
-    a, b = pm.a[i0:i0 + len(x) - 6], pm.b[i0:i0 + len(x) - 6]
+    i0 = int(np.searchsorted(pm.x, x[0] - 0.5 * pm.h)) + 3 * k
+    a, b = pm.a[i0:i0 + k * (len(x) - 6):k], pm.b[i0:i0 + k * (len(x) - 6):k]
     r1 = d2(f) - (pm.mu + lam - a) * f[sl] + b * g[sl]
     r2 = d2(g) - (pm.mu - lam - a) * g[sl] + b * f[sl]
     s = math.sqrt(pm.mu + abs(lam))
@@ -293,21 +308,46 @@ def _station(pm: PotentialMatrix) -> int:
     return int(np.searchsorted(pm.x, pm.negligible_from(V_NEGLIGIBLE) - 0.5 * pm.h))
 
 
-def _sweep_decaying(pm: PotentialMatrix, lam: float) -> JostSolution:
-    """The mode-0 sweep of integrate_from_mode continued by the pure decaying mode beyond
-    the station x_asym; valid for any |lam| >= mu. asym_deviation is the potential this
-    tail neglects, read from the cached sup envelope."""
+def _sweep_decaying(pm: PotentialMatrix, lam: float, k: int = 1) -> JostSolution:
+    """The mode-0 sweep continued by the pure decaying mode beyond the station x_asym; valid
+    for any |lam| >= mu. asym_deviation is the potential this tail neglects, read from the
+    cached sup envelope.
+
+    At k = 1 the sweep is integrate_from_mode's, on every node. At even k it steps k
+    cells at a time: the station moves outward and the left end inward onto the nodes
+    i0 + multiples of 2k (i0 the origin's index), the sweep runs at strides k and 2k from
+    the same pure-mode data, and the two are extrapolated on the 2k nodes,
+    w = (16 w_k - w_2k)/15 (step doubling of a fourth-order method; Hairer, Norsett &
+    Wanner, Solving ODEs I, II.4). The solution, its tail and its residual then live on
+    those 2k nodes.
+    """
     mode = asymptotic_modes(lam, pm.mu, end=+1)[0]
-    i_asym = _station(pm)
+    m = 2 * k if k > 1 else 1                   # node stride of the solution
+    last = len(pm.x) - 1
+    lo = (last // 2) % m
+    # the station outward onto the lattice, unless that leaves the grid: then the last
+    # lattice node, at most 2k - 1 cells inward
+    i_asym = min(lo + m * -(-(_station(pm) - lo) // m), last - (last - lo) % m)
     x_asym = float(pm.x[i_asym])
     if mode.value * x_asym > 600.0:
         raise DomainError(
             f"kappa * x_asym = {mode.value * x_asym:.0f} underflows the tail normalization; "
             "lambda is too large for this grid")
-    swept = integrate_from_mode(pm, lam, 0)
+    if k == 1:
+        swept = integrate_from_mode(pm, lam, 0)
+    else:
+        y0 = np.array(mode.eval(x_asym))
+        w_k = _sweep_states(pm, lam, y0, i_asym, lo, k)[:, ::2]
+        w = w_k + (w_k - _sweep_states(pm, lam, y0, i_asym, lo, m)) / 15.0
+        xs = pm.x[lo:i_asym + 1:m]
+        swept = JostSolution(lam=float(lam), mu=pm.mu, x=xs, f=w[0], g=w[1], fp=w[2],
+                             gp=w[3], x_asym=x_asym, mode=mode,
+                             residual=_rel_residual(pm, lam, xs, *w),
+                             asym_deviation=float("nan"))
+    x = pm.x[lo::m]
     f, g, fp, gp = np.concatenate([(swept.f, swept.g, swept.fp, swept.gp),
-                                   mode.eval(pm.x[i_asym + 1:])], axis=1)
-    return replace(swept, x=pm.x, f=f, g=g, fp=fp, gp=gp,
+                                   mode.eval(x[len(swept.x):])], axis=1)
+    return replace(swept, x=x, f=f, g=g, fp=fp, gp=gp,
                    asym_deviation=float(pm._sup_envelope[i_asym - len(pm.x)]),
                    normalization=JostSolution.normalization)
 

@@ -29,6 +29,15 @@ from scipy.interpolate import PchipInterpolator
 
 from .errors import DomainError, ExtrapolationError
 
+
+def _saturable_G(s, b):
+    """G = s/b - log1p(b s)/b^2; where |b s| < 1e-3 that difference cancels, so there G is
+    its series s^2 sum_{n<6} (-b s)^n/(n + 2), whose first dropped term is (b s)^6/8."""
+    z = b * s
+    series = s * s * sum((-z) ** n / (n + 2) for n in range(6))
+    return np.where(np.abs(z) < 1e-3, series, s / b - np.log1p(z) / (b * b))
+
+
 _CLOSED_FORMS = {
     "power": (lambda s, p: np.power(s, p),
               lambda s, p: p * np.power(s, p - 1.0),      # 0**0 == 1 handles the p = 1 endpoint
@@ -38,7 +47,7 @@ _CLOSED_FORMS = {
                       lambda s, g: s * s / 2.0 - g * s**3 / 3.0),
     "saturable": (lambda s, b: s / (1.0 + b * s),
                   lambda s, b: 1.0 / (1.0 + b * s) ** 2,
-                  lambda s, b: s / b - np.log1p(b * s) / (b * b)),
+                  _saturable_G),
 }
 FAMILIES = (*_CLOSED_FORMS, "tabulated")
 

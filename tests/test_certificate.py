@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 
 import solispec as sp
+import solispec.certificate as sp_cert
 from solispec.certificate import _certify_potential, _score_solution
 from solispec.jost import _sweep_decaying
+
+STRIDE_FAMILIES = (sp.Nonlinearity.power(1.0), sp.Nonlinearity.saturable(0.5),
+                   sp.Nonlinearity.cubic_quintic(0.1))
 
 
 def test_cubic_lambda2_record(gs_cubic, nl_cubic):
@@ -91,6 +95,69 @@ def test_v0p_converges_at_high_energy(gs_cubic, nl_cubic):
     fine = sp.solve_ground_state(nl_cubic, 1.0, h=0.5 * gs_cubic.h)
     coarse, ref = (sp.certify_lambda(g, nl_cubic, 100.0) for g in (gs_cubic, fine))
     assert abs(coarse.v0p - ref.v0p) <= 1e-11 * abs(ref.v0p)
+
+
+@pytest.mark.parametrize("nl", STRIDE_FAMILIES, ids=lambda n: n.family)
+def test_strided_records_match_fine_sweep(nl, gs_cubic, nl_cubic):
+    """The certificate's extrapolated strided sweep gives the records of the sweep on
+    every node: the same verdicts and flags, v0 and v0' within 1e-10 relative."""
+    gs = gs_cubic if nl == nl_cubic else sp.solve_ground_state(nl, 1.0)
+    pm, th = sp.potential_V(gs, nl), sp.Thresholds()
+    for lam in [*np.linspace(1.0, 10.0, 10), 30.0, 100.0, -3.0]:
+        method = "direct" if lam < 0 else "reflect"
+        rec = _certify_potential(pm, float(lam), th, method)
+        ref = _score_solution(pm, _sweep_decaying(pm, float(lam)), th, method)
+        for key in ("verdict", "u_positive", "v_signed", "at_threshold", "method"):
+            assert getattr(rec, key) == getattr(ref, key), (lam, key)
+        for key in ("v0", "v0p"):
+            assert abs(getattr(rec, key) - getattr(ref, key)) <= 1e-10 * abs(getattr(ref, key))
+
+
+def _record_sweeps(monkeypatch) -> list:
+    """The (stride, solution) of every certificate sweep from here on."""
+    swept = []
+
+    def spy(pm, lam, k=1):
+        swept.append((k, _sweep_decaying(pm, lam, k)))
+        return swept[-1][1]
+    monkeypatch.setattr(sp_cert, "_sweep_decaying", spy)
+    return swept
+
+
+@pytest.mark.parametrize("lam", [1.0, 2.0, 10.0])
+def test_certificate_sweep_residual(pm_cubic, monkeypatch, lam):
+    """The certificate sweeps every 4th cell on [1, 10], and its stencil residual on the
+    8th nodes it keeps stays at the fine sweep's level."""
+    swept = _record_sweeps(monkeypatch)
+    _certify_potential(pm_cubic, lam)
+    ((k, sol),) = swept
+    assert k == 4
+    assert sol.x[1] - sol.x[0] == pytest.approx(8 * pm_cubic.h, rel=1e-9)
+    assert sol.residual <= 1e-8
+
+
+@pytest.mark.parametrize("h,k", [(2e-3, 2), (1.5e-3, 1)])
+def test_stride_keeps_witness_edge_on_nodes(nl_cubic, monkeypatch, h, k):
+    """Off the default grid the stride drops until x = -5/sqrt(mu), where the growing mode
+    puts the witnesses' normalization, is one of the 2k-th nodes (5/h = 2500 cells is a
+    multiple of 4, not of 8; 3333.3 cells leaves only k = 1), so the mismatch stays the
+    fine sweep's."""
+    pm = sp.potential_V(sp.solve_ground_state(nl_cubic, 1.0, h=h), nl_cubic)
+    swept = _record_sweeps(monkeypatch)
+    rec = _certify_potential(pm, 3.0)
+    ref = _score_solution(pm, _sweep_decaying(pm, 3.0), sp.Thresholds(), "reflect")
+    assert [s[0] for s in swept] == [k]
+    assert abs(rec.mismatch - ref.mismatch) <= 1e-9 * ref.mismatch
+
+
+def test_certificates_leave_midpoints_unbuilt(gs_cubic, nl_cubic):
+    """Certificate sweeps step over even numbers of cells, whose midpoints are nodes, so
+    the local cubic's midpoint samples are never built for them."""
+    pm = sp.potential_V(gs_cubic, nl_cubic)
+    for lam in np.linspace(1.0, 10.0, 4):
+        _certify_potential(pm, float(lam))
+        _certify_potential(pm, -float(lam), method="direct")
+    assert "midpoint_entries" not in pm.__dict__
 
 
 def test_no_sign_changes_on_half_line(gs_cubic, nl_cubic):

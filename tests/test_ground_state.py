@@ -111,6 +111,14 @@ def test_other_families_solve_and_decay():
         assert sp.first_integral_residual(gs, nl) <= 1e-10
 
 
+def test_saturable_small_beta_solves():
+    """saturable(1e-8) is within 1e-8 of the cubic; its G comes from the series in b s,
+    since the closed form s/b - log1p(b s)/b^2 cancels there."""
+    nl = sp.Nonlinearity.saturable(1e-8)
+    gs = sp.solve_ground_state(nl, 1.0, R=20.0, h=2e-3)
+    assert sp.first_integral_residual(gs, nl) <= 1e-10
+
+
 def test_steep_power_law_seed_probe():
     """The seed probe's G overflows far beyond the first root for power(40); that is
     no warning, and the peak is the root of G(s) = mu*s."""

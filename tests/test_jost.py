@@ -188,26 +188,51 @@ def test_station_beyond_grid_rejected(nl_cubic):
         sp.decaying_solution(2.0, gs_small, nl_cubic)
 
 
-def _dop853_states(pm, lam, y0, i_from, i_to):
+def _dop853_states(pm, lam, y0, i_from, i_to, k=1):
     """Reference sweep: adaptive DOP853 in short segments whose absolute
-    tolerance floors at 1e-17 times the segment's entry state size."""
+    tolerance floors at 1e-17 times the segment's entry state size, sampled
+    at the nodes i_to, i_to + k, ..., i_from as the stride-k sweep is."""
     def rhs(x, y):
         a, b = pm.entries_at(x)
         f, g, fp, gp = y
         return (fp, gp, (pm.mu + lam - a) * f - b * g, (pm.mu - lam - a) * g - b * f)
 
-    seg = max(int(round(3.0 / math.sqrt(pm.mu) / pm.h)), 8)
-    out = np.empty((4, i_from - i_to + 1))
+    seg = k * max(int(round(3.0 / math.sqrt(pm.mu) / pm.h / k)), 8)
+    out = np.empty((4, (i_from - i_to) // k + 1))
     out[:, -1] = y0
     y, hi = np.asarray(y0, dtype=float), i_from
     while hi > i_to:
         lo = max(hi - seg, i_to)
         sol = solve_ivp(rhs, (pm.x[hi], pm.x[lo]), y, method="DOP853", rtol=1e-12,
-                        atol=1e-17 * float(np.max(np.abs(y))), t_eval=pm.x[lo:hi + 1][::-1])
+                        atol=1e-17 * float(np.max(np.abs(y))),
+                        t_eval=pm.x[lo:hi + 1:k][::-1])
         assert sol.success, sol.message
-        out[:, lo - i_to:hi - i_to + 1] = sol.y[:, ::-1]
+        out[:, (lo - i_to) // k:(hi - i_to) // k + 1] = sol.y[:, ::-1]
         y, hi = sol.y[:, -1], lo
     return out
+
+
+@pytest.mark.parametrize("lam", [1.0, 1.5, 2.0, 3.0, 5.0, 10.0, 30.0, 100.0])
+def test_kaup_exact_decaying_solution(gs_cubic, nl_cubic, lam):
+    """Kaup's closed form for the cubic profile sqrt(2) sech x at mu = 1, continued to
+    k = i kappa and mapped by S (Phys. Rev. A 42, 5689, 1990): with kappa = sqrt(1 + lam)
+    and N = (kappa + 1)^2 the decaying solution is f = e^{-kappa x} (kappa + tanh x)^2 / N,
+    g = -e^{-kappa x} sech^2 x / N. So v0 = (kappa^2 + 1)/N, v0' = -kappa lam / N, and the
+    growing coefficient at -inf is c_grow = -(f f' + g g')(0)/kappa = ((kappa-1)/(kappa+1))^2.
+    Pinned on the fine sweep, on the certificate at +lam and on the direct record at -lam."""
+    kappa = math.sqrt(1.0 + lam)
+    N = (kappa + 1.0) ** 2
+    v0, v0p = (kappa**2 + 1.0) / N, -kappa * lam / N
+    sol = sp.decaying_solution(lam, gs_cubic, nl_cubic)
+    i0 = int(np.argmin(np.abs(sol.x)))
+    f, g, fp, gp = (getattr(sol, k)[i0] for k in ("f", "g", "fp", "gp"))
+    c_grow = -(f * fp + g * gp) / kappa
+    pos = sp.certify_lambda(gs_cubic, nl_cubic, lam)
+    neg = sp.certify_lambda(gs_cubic, nl_cubic, -lam, method="direct")
+    pairs = [(f - g, v0), (fp - gp, v0p), (c_grow, ((kappa - 1.0) / (kappa + 1.0)) ** 2),
+             (pos.v0, v0), (pos.v0p, v0p), (-neg.v0, v0), (-neg.v0p, v0p)]
+    for got, exact in pairs:
+        assert abs(got - exact) <= 1e-10 * abs(exact), (got, exact)
 
 
 @pytest.mark.parametrize("lam,method", [(1.0, "reflect"), (2.0, "reflect"),
@@ -226,21 +251,23 @@ def test_sweep_matches_dop853_reference(pm_cubic, monkeypatch, lam, method):
 
 def test_blocked_chain_matches_sequential_product(pm_cubic, monkeypatch):
     """Block totals, entry states and in-block states reproduce step-by-step chaining,
-    across propagator chunks and a padded last block."""
+    across propagator chunks and a padded last block, one step per cell and per 4 cells."""
     monkeypatch.setattr(sp_jost, "PROPAGATOR_CHUNK", 97)
-    i_from, i_to, lam = 31000, 30000, 3.0        # 1000 steps: blocks of 32, the last one padded
-    y0 = np.array([1.0, -0.5, 0.25, 2.0])
-    blocked = sp_jost._sweep_states(pm_cubic, lam, y0, i_from, i_to)
-    T = sp_jost._step_propagators(pm_cubic, lam, i_to, i_from)
-    seq = np.empty((4, i_from - i_to + 1))
-    seq[:, -1] = y0
-    for i in range(i_from - i_to - 1, -1, -1):
-        seq[:, i] = T[i] @ seq[:, i + 1]
-    assert np.max(np.abs(blocked - seq)) <= 1e-13 * np.max(np.abs(seq))
+    i_from, i_to, lam = 31000, 30000, 3.0        # 1000 or 250 steps: blocks of 32 or 16,
+    y0 = np.array([1.0, -0.5, 0.25, 2.0])        # the last one padded
+    for k in (1, 4):
+        blocked = sp_jost._sweep_states(pm_cubic, lam, y0, i_from, i_to, k)
+        T = sp_jost._step_propagators(pm_cubic, lam, i_to, i_from, k)
+        seq = np.empty((4, (i_from - i_to) // k + 1))
+        seq[:, -1] = y0
+        for i in range(len(T) - 1, -1, -1):
+            seq[:, i] = T[i] @ seq[:, i + 1]
+        assert np.max(np.abs(blocked - seq)) <= 1e-13 * np.max(np.abs(seq)), k
 
 
-def _dense_lawson(pm, lam, lo, hi):
-    """Reference: the Lawson RK4 step matrices from dense 4x4 products, shape (hi-lo, 4, 4)."""
+def _dense_lawson(pm, lam, lo, hi, k=1):
+    """Reference: the Lawson RK4 step matrices over k cells from dense 4x4 products, shape
+    ((hi-lo)/k, 4, 4); the potential at a step's midpoint is read through entries_at."""
     def free(s):
         E = np.zeros(s.shape + (4, 4))
         for c, d in enumerate((pm.mu + lam, pm.mu - lam)):
@@ -262,14 +289,14 @@ def _dense_lawson(pm, lam, lo, hi):
         P[:, 2, 1] = P[:, 3, 0] = -b
         return P
 
-    s = pm.x[lo:hi] - pm.x[lo + 1:hi + 1]
+    s = pm.x[lo:hi:k] - pm.x[lo + k:hi + 1:k]
     Eh, Ef = free(0.5 * s), free(s)
     s = s[:, None, None]
-    am, bm = (e[lo:hi] for e in pm.midpoint_entries)
-    P0, Pm = potential(pm.a[lo + 1:hi + 1], pm.b[lo + 1:hi + 1]), potential(am, bm)
+    am, bm = pm.entries_at(0.5 * (pm.x[lo:hi:k] + pm.x[lo + k:hi + 1:k]))
+    P0, Pm = potential(pm.a[lo + k:hi + 1:k], pm.b[lo + k:hi + 1:k]), potential(am, bm)
     K2 = Pm @ Eh @ (np.eye(4) + 0.5 * s * P0)
     K3 = Pm @ (Eh + 0.5 * s * K2)
-    K4 = potential(pm.a[lo:hi], pm.b[lo:hi]) @ (Ef + s * (Eh @ K3))
+    K4 = potential(pm.a[lo:hi:k], pm.b[lo:hi:k]) @ (Ef + s * (Eh @ K3))
     return Ef + s / 6.0 * (Ef @ P0 + 2.0 * (Eh @ (K2 + K3)) + K4)
 
 
@@ -278,14 +305,16 @@ def _dense_lawson(pm, lam, lo, hi):
 def test_step_propagators_match_dense_lawson(pm_cubic, lam, well):
     """The 2x2-block step matrices equal the dense 4x4 Lawson RK4 formula, at the
     threshold, above it, far above it and on the direct negative branch, for a
-    coupled (cubic) and a decoupled (b = 0) potential."""
+    coupled (cubic) and a decoupled (b = 0) potential, one step per cell (midpoints
+    from the local cubic) and per 4 cells (midpoints at nodes)."""
     pm = sp.decoupled_well_potential(1.0, 6.0, R=25.0, h=2e-3) if well else pm_cubic
     mid = (len(pm.x) - 1) // 2
     lo, hi = mid - 3000, mid + 1500                 # across the well
-    T = sp_jost._step_propagators(pm, lam, lo, hi)
-    ref = _dense_lawson(pm, lam, lo, hi)
-    assert T.shape == ref.shape == (hi - lo, 4, 4)
-    assert np.max(np.abs(T - ref)) <= 1e-14 * np.max(np.abs(ref))
+    for k in (1, 4):
+        T = sp_jost._step_propagators(pm, lam, lo, hi, k)
+        ref = _dense_lawson(pm, lam, lo, hi, k)
+        assert T.shape == ref.shape == ((hi - lo) // k, 4, 4)
+        assert np.max(np.abs(T - ref)) <= 1e-14 * np.max(np.abs(ref)), k
 
 
 def test_entries_at_nodes_are_samples(pm_cubic):
