@@ -6,6 +6,10 @@ of the resolved config, and exits 0 on success, 1 when a structural
 hypothesis fails (e.g. no decaying even profile), 2 on configuration
 errors. Reports are byte-identical across reruns of the same config;
 wall-clock timestamps are only embedded with --stamp.
+
+One loader (_load) serves every command, with scan's --lmin/--lmax/--n and
+control's --mu as overrides; one writer (_write) writes every file and alone
+adds the report header and the --stamp timestamp.
 """
 
 from __future__ import annotations
@@ -31,37 +35,43 @@ from .linearized_operator import discrete_eigenvalues
 from .nonlinearity import Nonlinearity
 
 
-def _json_dump(path: str, obj: dict):
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(obj, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    except OSError as exc:
-        raise ConfigurationError(f"cannot write {path}: {exc}") from exc
-
-
-def _csv_dump(path: str, rows):
-    """CSV file from an iterable of rows, header row first."""
+def _write(path: str, data, cfg: RunConfig, stamp: bool = False):
+    """Write a JSON report (a dict) under the report header, with the wall clock only
+    with --stamp, or CSV rows (any other iterable, header row first)."""
+    if isinstance(data, dict):
+        data = {**data, **report_header(cfg.config_hash())}
+        if stamp:
+            data["timestamp"] = _dt.datetime.now(_dt.timezone.utc).isoformat()
     try:
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh).writerows(rows)
+            if isinstance(data, dict):
+                json.dump(data, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+            else:
+                csv.writer(fh).writerows(data)
     except OSError as exc:
         raise ConfigurationError(f"cannot write {path}: {exc}") from exc
-
-
-def _sidecar_path(out: str) -> str:
-    return (out[:-4] if out.endswith(".csv") else out) + ".json"
 
 
 def _write_samples(out: str, cfg: RunConfig, columns: dict, meta: dict):
     """CSV of sampled columns plus a JSON sidecar with the report header and meta."""
     rows = zip(*((repr(float(v)) for v in arr) for arr in columns.values()))
-    _csv_dump(out, itertools.chain([tuple(columns)], rows))
-    _json_dump(_sidecar_path(out), {**report_header(cfg.config_hash()), **meta})
+    _write(out, itertools.chain([tuple(columns)], rows), cfg)
+    _write((out[:-4] if out.endswith(".csv") else out) + ".json", meta, cfg)
 
 
-def _load(args) -> tuple[RunConfig, Nonlinearity]:
-    cfg = RunConfig.from_file(args.config).validate()
+def _load(args, **overrides) -> tuple[RunConfig, Nonlinearity]:
+    """The validated config of --config, the defaults without one, and its nonlinearity.
+    An override sets a top-level key, or with a dict the keys of that block, where its
+    value is not None; a non-object block is left for validate to reject."""
+    cfg = RunConfig.from_file(args.config) if args.config is not None else RunConfig()
+    for key, val in overrides.items():
+        if isinstance(val, dict):
+            if isinstance(cfg.raw[key], dict):
+                cfg.raw[key].update((k, v) for k, v in val.items() if v is not None)
+        elif val is not None:
+            cfg.raw[key] = val
+    cfg.validate()
     return cfg, cfg.nonlinearity()
 
 
@@ -99,12 +109,11 @@ def cmd_spectrum(args) -> int:
     window = eig_cfg["window"]
     pairs = discrete_eigenvalues(gs, nl, window=tuple(window) if window else None,
                                  k=eig_cfg["k"])
-    _json_dump(args.out, {
-        **report_header(cfg.config_hash()),
+    _write(args.out, {
         "mu": mu, "grid": {"R": gs.R, "h": gs.h},
         "eigenvalues": [{"lambda": p.lam, "imag": p.imag, "residual": p.residual,
                          "parity": p.parity} for p in pairs],
-    })
+    }, cfg)
     print(f"{len(pairs)} gap eigenvalue(s) written to {args.out}")
     for p in pairs:
         print(f"  lambda = {p.lam: .6e}  imag = {p.imag:.6e}  residual = {p.residual:.2e}  "
@@ -143,29 +152,15 @@ def cmd_invert_check(args) -> int:
     return 0
 
 
-def _report_payload(report, cfg: RunConfig, stamp: bool) -> dict:
-    """JSON payload of a scan report; the wall clock goes in only with --stamp."""
-    report.config_hash = cfg.config_hash()
-    if stamp:
-        report.timestamp = _dt.datetime.now(_dt.timezone.utc).isoformat()
-    return report.to_json_dict()
-
-
 def cmd_scan(args) -> int:
-    grid = {key: getattr(args, key) for key in ("lmin", "lmax", "n")
-            if getattr(args, key) is not None}
-    cfg = RunConfig.from_file(args.config)
-    if isinstance(cfg.raw["scan"], dict):   # a non-object block is left for validate
-        cfg.raw["scan"].update(grid)
-    cfg.validate()
+    cfg, nl = _load(args, scan={key: getattr(args, key) for key in ("lmin", "lmax", "n")})
     scan = cfg.raw["scan"]
     lams = energy_grid(np.linspace(scan["lmin"], scan["lmax"], scan["n"]), cfg.mu)
-    nl = cfg.nonlinearity()
     gs = _solve_ground(cfg, nl)
     report = scan_embedded(gs, nl, lams, thresholds=_thresholds(cfg), workers=cfg.parallelism)
-    _json_dump(args.out, _report_payload(report, cfg, args.stamp))
+    _write(args.out, report.to_json_dict(), cfg, args.stamp)
     out_csv = (args.out[:-5] if args.out.endswith(".json") else args.out) + ".csv"
-    _csv_dump(out_csv, report.csv_rows())
+    _write(out_csv, report.csv_rows(), cfg)
     summ = report.summary()
     print(f"scan written: {args.out} + {out_csv}")
     print(f"  verdicts: {summ['verdict_counts']}")
@@ -181,10 +176,7 @@ def cmd_control(args) -> int:
         raise ConfigurationError(f"control needs --n >= 1, got {args.n}")
     if not np.isfinite(args.depth):
         raise ConfigurationError(f"control needs a finite --depth, got {args.depth}")
-    cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
-    if args.mu is not None:
-        cfg.raw["mu"] = args.mu
-    cfg.validate()
+    cfg, _ = _load(args, mu=args.mu)
     mu, depth = cfg.mu, args.depth
     levels = sech_well_levels(mu, depth)
     if args.lmin is not None:
@@ -198,9 +190,9 @@ def cmd_control(args) -> int:
     report = control_scan(mu, depth, lambdas, thresholds=th)
     # a predicted level that is not located is a failed detection (exit 1)
     candidate = negative_control(mu, depth, thresholds=th) if levels else None
-    _json_dump(args.out, {**_report_payload(report, cfg, args.stamp), "well_depth": depth,
-                          "predicted_embedded_levels": levels,
-                          "candidate": candidate.to_dict() if candidate else None})
+    _write(args.out, {**report.to_json_dict(), "well_depth": depth,
+                      "predicted_embedded_levels": levels,
+                      "candidate": candidate.to_dict() if candidate else None}, cfg, args.stamp)
     if candidate:
         print(f"embedded-candidate located at lambda = {candidate.lam:.6f} "
               f"(mismatch = {candidate.mismatch:.3e}); report: {args.out}")
@@ -218,26 +210,27 @@ def build_parser() -> argparse.ArgumentParser:
                         help="print the default config JSON and exit")
     sub = parser.add_subparsers(dest="command")
 
-    p = sub.add_parser("ground", help="solve the ground-state profile")
-    p.add_argument("--config", required=True)
+    def command(name, run, text, config_required=True):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--config", required=config_required)
+        p.set_defaults(run=run)
+        return p
+
+    p = command("ground", cmd_ground, "solve the ground-state profile")
     p.add_argument("--out", default="ground.csv")
 
-    p = sub.add_parser("spectrum", help="gap eigenvalues of the linearized operator")
-    p.add_argument("--config", required=True)
+    p = command("spectrum", cmd_spectrum, "gap eigenvalues of the linearized operator")
     p.add_argument("--out", default="spectrum.json")
 
-    p = sub.add_parser("jost", help="decaying solution at one energy")
-    p.add_argument("--config", required=True)
+    p = command("jost", cmd_jost, "decaying solution at one energy")
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--out", default="jost.csv")
 
-    p = sub.add_parser("invert-check", help="fixed-point identity residuals")
-    p.add_argument("--config", required=True)
+    p = command("invert-check", cmd_invert_check, "fixed-point identity residuals")
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--x0", type=float, default=1.0)
 
-    p = sub.add_parser("scan", help="certificate scan over an energy grid")
-    p.add_argument("--config", required=True)
+    p = command("scan", cmd_scan, "certificate scan over an energy grid")
     p.add_argument("--lmin", type=float)
     p.add_argument("--lmax", type=float)
     p.add_argument("--n", type=int)
@@ -245,8 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stamp", action="store_true",
                    help="embed a wall-clock timestamp (breaks byte-reproducibility)")
 
-    p = sub.add_parser("control", help="negative control: decoupled sech^2 well")
-    p.add_argument("--config")
+    p = command("control", cmd_control, "negative control: decoupled sech^2 well",
+                config_required=False)
     p.add_argument("--mu", type=float)
     p.add_argument("--depth", type=float, required=True)
     p.add_argument("--lmin", type=float)
@@ -256,16 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stamp", action="store_true")
 
     return parser
-
-
-_COMMANDS = {
-    "ground": cmd_ground,
-    "spectrum": cmd_spectrum,
-    "jost": cmd_jost,
-    "invert-check": cmd_invert_check,
-    "scan": cmd_scan,
-    "control": cmd_control,
-}
 
 
 def main(argv=None) -> int:
@@ -278,7 +261,7 @@ def main(argv=None) -> int:
         parser.print_help()
         return 2
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -20,12 +20,14 @@ The sweep is Lawson's integrating-factor RK4 (SIAM J. Numer. Anal. 4, 1967).
 Writing y' = (A0 + P(x)) y with the free part A0 and the potential part P,
 it applies classical RK4 to exp(-x A0) y, so the free flow exp(s A0) enters
 in closed form and the step is exact when P = 0: a pure mode stays pure to
-rounding, whatever its rate or frequency. decaying_solution and
-integrate_from_mode take one step per grid cell, with P at the nodes and,
-through the cubic on the four nodes around each cell, at the cell
-midpoints. The certificate's sweep (_sweep_decaying with k > 1) steps k
-cells at a time, k even, so every midpoint is a node; it sweeps at k and 2k
-and extrapolates the two on every 2k-th node, where its solution lives.
+rounding, whatever its rate or frequency. Every sweep runs through one
+driver, _sweep, which places the station and the node lattice, sweeps at a
+stride of k cells and, at even k, sweeps again at 2k and extrapolates the
+two. decaying_solution and integrate_from_mode take k = 1, one step per grid
+cell, with P at the nodes and, through the cubic on the four nodes around
+each cell, at the cell midpoints. The certificate's sweep (_sweep_decaying
+with k > 1) takes k even, so every midpoint is a node, and its solution
+lives on every 2k-th node.
 The system is linear, so each step is a 4x4 matrix; all are built at once,
 each with its own spacing x[i+1] - x[i], because linspace spacings differ
 by ~1e-11 relative and a nominal h would put that error into every step.
@@ -303,53 +305,50 @@ def _rel_residual(pm: PotentialMatrix, lam: float, x, f, g, fp, gp) -> float:
     return float(np.max(np.hypot(r1, r2) / scale))
 
 
-def _station(pm: PotentialMatrix) -> int:
-    """Grid index of the station x_asym, where both sweeps start from pure-mode data."""
-    return int(np.searchsorted(pm.x, pm.negligible_from(V_NEGLIGIBLE) - 0.5 * pm.h))
+def _sweep(pm: PotentialMatrix, lam: float, mode_index: int, k: int):
+    """Backward sweep from the pure mode mode_index at the station x_asym, where the potential
+    falls below V_NEGLIGIBLE, one step per k cells (k = 1 or even). Returns the mode, the
+    lattice x (every m-th node through the origin), the station's index and the states
+    (f, g, f', g') on x[:n], x[n - 1] = x_asym. At k = 1, m = 1; at even k, m = 2k: the
+    station moves outward and the left end inward onto the lattice, the sweep runs at
+    strides k and 2k from the same data and the two are extrapolated on the lattice,
+    w = (16 w_k - w_2k)/15 (step doubling of a fourth-order method; Hairer, Norsett &
+    Wanner, Solving ODEs I, II.4)."""
+    mode = asymptotic_modes(lam, pm.mu, end=+1)[mode_index]
+    m = 2 * k if k > 1 else 1                   # node stride of the lattice
+    last = len(pm.x) - 1
+    lo = (last // 2) % m
+    station = int(np.searchsorted(pm.x, pm.negligible_from(V_NEGLIGIBLE) - 0.5 * pm.h))
+    # the station outward onto the lattice, unless that leaves the grid: then the last
+    # lattice node, at most 2k - 1 cells inward
+    i_asym = min(lo + m * -(-(station - lo) // m), last - (last - lo) % m)
+    x_asym = float(pm.x[i_asym])
+    kappa = math.sqrt(pm.mu + abs(lam))
+    if kappa * x_asym > 600.0:
+        raise DomainError(
+            f"kappa * x_asym = {kappa * x_asym:.0f} underflows the tail normalization; "
+            "lambda is too large for this grid")
+    y0 = np.array(mode.eval(x_asym))
+    w = _sweep_states(pm, lam, y0, i_asym, lo, k)
+    if k > 1:
+        w_k = w[:, ::2]
+        w = w_k + (w_k - _sweep_states(pm, lam, y0, i_asym, lo, m)) / 15.0
+    return mode, pm.x[lo::m], i_asym, w
 
 
 def _sweep_decaying(pm: PotentialMatrix, lam: float, k: int = 1) -> JostSolution:
     """The mode-0 sweep continued by the pure decaying mode beyond the station x_asym; valid
-    for any |lam| >= mu. asym_deviation is the potential this tail neglects, read from the
-    cached sup envelope.
-
-    At k = 1 the sweep is integrate_from_mode's, on every node. At even k it steps k
-    cells at a time: the station moves outward and the left end inward onto the nodes
-    i0 + multiples of 2k (i0 the origin's index), the sweep runs at strides k and 2k from
-    the same pure-mode data, and the two are extrapolated on the 2k nodes,
-    w = (16 w_k - w_2k)/15 (step doubling of a fourth-order method; Hairer, Norsett &
-    Wanner, Solving ODEs I, II.4). The solution, its tail and its residual then live on
-    those 2k nodes.
+    for any |lam| >= mu. At k = 1 it is integrate_from_mode(pm, lam, 0) on every node, at
+    even k the extrapolated sweep on every 2k-th node (see _sweep). asym_deviation is the
+    potential the tail neglects, read from the cached sup envelope.
     """
-    mode = asymptotic_modes(lam, pm.mu, end=+1)[0]
-    m = 2 * k if k > 1 else 1                   # node stride of the solution
-    last = len(pm.x) - 1
-    lo = (last // 2) % m
-    # the station outward onto the lattice, unless that leaves the grid: then the last
-    # lattice node, at most 2k - 1 cells inward
-    i_asym = min(lo + m * -(-(_station(pm) - lo) // m), last - (last - lo) % m)
-    x_asym = float(pm.x[i_asym])
-    if mode.value * x_asym > 600.0:
-        raise DomainError(
-            f"kappa * x_asym = {mode.value * x_asym:.0f} underflows the tail normalization; "
-            "lambda is too large for this grid")
-    if k == 1:
-        swept = integrate_from_mode(pm, lam, 0)
-    else:
-        y0 = np.array(mode.eval(x_asym))
-        w_k = _sweep_states(pm, lam, y0, i_asym, lo, k)[:, ::2]
-        w = w_k + (w_k - _sweep_states(pm, lam, y0, i_asym, lo, m)) / 15.0
-        xs = pm.x[lo:i_asym + 1:m]
-        swept = JostSolution(lam=float(lam), mu=pm.mu, x=xs, f=w[0], g=w[1], fp=w[2],
-                             gp=w[3], x_asym=x_asym, mode=mode,
-                             residual=_rel_residual(pm, lam, xs, *w),
-                             asym_deviation=float("nan"))
-    x = pm.x[lo::m]
-    f, g, fp, gp = np.concatenate([(swept.f, swept.g, swept.fp, swept.gp),
-                                   mode.eval(x[len(swept.x):])], axis=1)
-    return replace(swept, x=x, f=f, g=g, fp=fp, gp=gp,
-                   asym_deviation=float(pm._sup_envelope[i_asym - len(pm.x)]),
-                   normalization=JostSolution.normalization)
+    mode, x, i_asym, w = _sweep(pm, lam, 0, k)
+    n = w.shape[1]
+    f, g, fp, gp = np.concatenate([w, mode.eval(x[n:])], axis=1)
+    return JostSolution(lam=float(lam), mu=pm.mu, x=x, f=f, g=g, fp=fp, gp=gp,
+                        x_asym=float(x[n - 1]), mode=mode,
+                        residual=_rel_residual(pm, lam, x[:n], *w),
+                        asym_deviation=float(pm._sup_envelope[i_asym - len(pm.x)]))
 
 
 def decaying_solution(lam: float, gs: GroundState | None = None,
@@ -378,14 +377,11 @@ def integrate_from_mode(pm: PotentialMatrix, lam: float, mode_index: int) -> Jos
     independent solutions whose pairwise bilinear invariant (see wronskian)
     gates integration quality.
     """
-    mode = asymptotic_modes(lam, pm.mu, end=+1)[mode_index]
-    i_asym = _station(pm)
-    xs = pm.x[:i_asym + 1]
-    f, g, fp, gp = _sweep_states(pm, lam, np.array(mode.eval(xs[-1])), i_asym, 0)
-    res = _rel_residual(pm, lam, xs, f, g, fp, gp)
-    return JostSolution(lam=float(lam), mu=pm.mu, x=xs, f=f, g=g, fp=fp, gp=gp,
-                        x_asym=float(xs[-1]), mode=mode, residual=res,
-                        asym_deviation=float("nan"),
+    mode, x, _, w = _sweep(pm, lam, mode_index, 1)
+    xs = x[:w.shape[1]]
+    return JostSolution(lam=float(lam), mu=pm.mu, x=xs, f=w[0], g=w[1], fp=w[2], gp=w[3],
+                        x_asym=float(xs[-1]), mode=mode,
+                        residual=_rel_residual(pm, lam, xs, *w), asym_deviation=float("nan"),
                         normalization=f"pure mode {mode.kind} seed at x_asym")
 
 

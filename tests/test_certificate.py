@@ -274,7 +274,8 @@ def test_report_json_deterministic_and_schema(gs_cubic, nl_cubic):
 def test_sech_well_levels_closed_form():
     # depth 6 = 2*3: bound states at -4 and -1, embedded energy 4 - mu = 3
     assert sp.sech_well_levels(1.0, 6.0) == [3.0]
-    assert sp.sech_well_levels(1.0, 0.1) == []
+    for depth in (0.1, 0.0, -2.0):
+        assert sp.sech_well_levels(1.0, depth) == []
     # depth 12 = 3*4: bound states -9, -4, -1 -> embedded at 8 and 3
     assert sp.sech_well_levels(1.0, 12.0) == [8.0, 3.0]
     assert sp.sech_well_levels(2.0, 12.0) == [7.0, 2.0]      # lambda_1 = mu exactly

@@ -23,10 +23,12 @@ def cfg_path(tmp_path):
     return str(path)
 
 
-def test_print_defaults_round_trips():
+def test_print_defaults_round_trips(capsys):
     payload = json.loads(print_defaults())
     assert payload["mu"] == 1.0
     assert payload["scan"]["n"] == 200
+    assert main(["--print-defaults"]) == 0
+    assert json.loads(capsys.readouterr().out) == DEFAULTS
 
 
 def test_no_command_shows_help(capsys):
@@ -143,6 +145,23 @@ def test_scan_accepts_threshold_and_both_branches(tmp_path, cfg_path, lmin, lmax
     assert records[0]["at_threshold"] == (lmin == "0.99999999999999")
 
 
+@pytest.mark.parametrize("command, out", [("ground", "g.csv"), ("scan", "r.json")])
+def test_unwritable_out_exits_2(tmp_path, cfg_path, capsys, command, out):
+    """An --out in a missing directory is a configuration error, and no file is written."""
+    path = tmp_path / "missing" / out
+    assert main([command, "--config", cfg_path, "--out", str(path)]) == 2
+    assert "cannot write" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
+
+
+def test_jost_too_large_lambda_exits_1(tmp_path, cfg_path, capsys):
+    """A decaying mode that underflows at the station fails the run and writes nothing."""
+    out = tmp_path / "jost.csv"
+    assert main(["jost", "--config", cfg_path, "--lambda", "1500", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: kappa * x_asym = 678 underflows")
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
+
+
 def test_scan_determinism_bitwise(tmp_path, cfg_path):
     out1, out2 = str(tmp_path / "r1.json"), str(tmp_path / "r2.json")
     assert main(["scan", "--config", cfg_path, "--out", out1]) == 0
@@ -162,10 +181,14 @@ def test_hypothesis_violation_exits_1(tmp_path):
     assert main(["ground", "--config", str(path), "--out", str(tmp_path / "g.csv")]) == 1
 
 
-def test_malformed_config_exits_2(tmp_path):
+def test_malformed_config_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
     assert main(["ground", "--config", str(path), "--out", str(tmp_path / "g.csv")]) == 2
+    path.write_text("[1, 2]")
+    assert main(["ground", "--config", str(path), "--out", str(tmp_path / "g.csv")]) == 2
+    assert "must hold a JSON object" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "g.csv")
 
 
 def test_missing_config_exits_2(tmp_path):
@@ -293,6 +316,7 @@ def test_spectrum_coarse_eigen_grid_exits_2(tmp_path, capsys, n):
     *[("ground", {"nonlinearity": {"family": "tabulated",
                                    "table": {"s": [0.0, 1.0, 2.0, 3.0], "F": [0.0, 1.0, bad, 3.0]}}})
       for bad in (float("nan"), float("inf"))],
+    ("scan", {"scan": {"lmin": 3.0, "lmax": 1.5, "n": 4}}),
 ])
 def test_malformed_numbers_exit_2(tmp_path, capsys, command, block):
     """Malformed numbers are configuration errors, not tracebacks or solver failures."""
