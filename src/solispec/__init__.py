@@ -15,15 +15,12 @@ from .errors import (ConditioningError, ConfigurationError, DomainError,
                      ExtrapolationError, GridMismatchError, GroundStateError,
                      HypothesisError, SingularityError, SolispecError)
 from .nonlinearity import Nonlinearity
-from .ground_state import (FarFieldFit, GroundState, far_field_fit,
-                           first_integral_residual, solve_ground_state)
-from .linearized_operator import (EigenPair, GridField2, PotentialMatrix,
-                                  apply_H_potential, apply_L_potential,
-                                  assemble_matrix, decoupled_well_potential,
-                                  discrete_eigenvalues, potential_V, potential_entries)
+from .ground_state import GroundState, first_integral_residual, solve_ground_state
+from .linearized_operator import (EigenPair, GridField2, PotentialMatrix, apply_H_potential,
+                                  decoupled_well_potential, discrete_eigenvalues,
+                                  potential_V, potential_entries)
 from .jost import (AsymptoticMode, JostSolution, ModeExpansion, asymptotic_modes,
-                   decaying_solution, default_window, expand_in_modes,
-                   integrate_from_mode, wronskian)
+                   decaying_solution, default_window, expand_in_modes)
 from .inversion import fixed_point_residual, invert_L
 from .certificate import (CertificateRecord, ScanReport, Thresholds,
                           certify_lambda, control_scan, negative_control,
@@ -35,14 +32,12 @@ __all__ = [
     "SingularityError", "ConditioningError", "HypothesisError",
     "GroundStateError", "ConfigurationError",
     "Nonlinearity",
-    "GroundState", "FarFieldFit", "solve_ground_state", "far_field_fit",
-    "first_integral_residual",
+    "GroundState", "solve_ground_state", "first_integral_residual",
     "PotentialMatrix", "GridField2", "EigenPair", "potential_V",
     "potential_entries", "decoupled_well_potential", "apply_H_potential",
-    "apply_L_potential", "assemble_matrix", "discrete_eigenvalues",
+    "discrete_eigenvalues",
     "AsymptoticMode", "JostSolution", "ModeExpansion", "asymptotic_modes",
-    "decaying_solution", "integrate_from_mode", "expand_in_modes",
-    "default_window", "wronskian",
+    "decaying_solution", "expand_in_modes", "default_window",
     "invert_L", "fixed_point_residual",
     "Thresholds", "CertificateRecord", "ScanReport", "certify_lambda",
     "scan_embedded", "reflect_spectrum", "negative_control", "control_scan",

@@ -202,20 +202,13 @@ def certify_lambda(gs: GroundState, nl: Nonlinearity, lam: float,
     return _certify_potential(potential_V(gs, nl), lam, thresholds, method)
 
 
-def reflect_spectrum(obj):
-    """Map objects at energy lambda to their counterparts at -lambda.
+def reflect_spectrum(rec: CertificateRecord) -> CertificateRecord:
+    """The record at -lambda from the record at lambda.
 
-    Uses the exact conjugation S H S = -H with S(f, g) = (g, f): solutions
-    get their components swapped; certificate records keep their witnesses
-    with v -> -v.
+    The exact conjugation S H S = -H with S(f, g) = (g, f) swaps the
+    components of a solution, so the witnesses stay and v -> -v.
     """
-    if isinstance(obj, JostSolution):
-        mode = replace(obj.mode, channel=1 - obj.mode.channel)
-        return replace(obj, lam=-obj.lam, f=obj.g, g=obj.f, fp=obj.gp, gp=obj.fp,
-                       mode=mode)
-    if isinstance(obj, CertificateRecord):
-        return replace(obj, lam=-obj.lam, v0=-obj.v0, v0p=-obj.v0p)
-    raise DomainError(f"cannot reflect object of type {type(obj).__name__}")
+    return replace(rec, lam=-rec.lam, v0=-rec.v0, v0p=-rec.v0p)
 
 
 @dataclass
@@ -373,11 +366,11 @@ def negative_control(mu: float, well_depth: float,
 
     Scans the predicted neighborhood for a sign change of the growing-mode
     coefficient, refines the root by bisection, and returns the certificate
-    there; its verdict must be embedded-candidate. Raises ConfigurationError
-    when the well is too shallow to push a bound state into the essential
-    spectrum (the closed form requires depth >= sqrt(2 mu) (sqrt(2 mu)+1)),
-    and HypothesisError when no sign change is found near the predicted
-    level, i.e. when detection fails.
+    there. Raises ConfigurationError when the well is too shallow to push a
+    bound state into the essential spectrum (the closed form requires
+    depth >= sqrt(2 mu) (sqrt(2 mu)+1)), and HypothesisError when detection
+    fails: no sign change near the predicted level, or a verdict at the root
+    other than embedded-candidate.
     """
     th = thresholds or Thresholds()
     levels = sech_well_levels(mu, well_depth)
@@ -402,4 +395,9 @@ def negative_control(mu: float, well_depth: float,
             f"no sign change of the growing-mode coefficient near the predicted "
             f"embedded energy {lam0:.4f}; control detection failed")
     lam_star = brentq(_grow_coeff, *bracket, args=(pm, th), xtol=1e-10, rtol=1e-15)
-    return _certify_potential(pm, float(lam_star), th)
+    rec = _certify_potential(pm, float(lam_star), th)
+    if rec.verdict != VERDICT_CANDIDATE:
+        raise HypothesisError(
+            f"the growing-mode coefficient changes sign at lambda = {rec.lam:.6f}, but the "
+            f"verdict there is {rec.verdict}; control detection failed")
+    return rec

@@ -130,7 +130,7 @@ def cmd_jost(args) -> int:
                    {"x": sol.x, "f": sol.f, "g": sol.g, "fp": sol.fp, "gp": sol.gp},
                    {"lambda": sol.lam, "mu": sol.mu, "x_asym": sol.x_asym,
                     "residual": sol.residual, "asym_deviation": sol.asym_deviation,
-                    "normalization": sol.normalization})
+                    "normalization": "leading decaying coefficient 1 at x_asym"})
     print(f"decaying solution at lambda = {args.lam} written: {args.out} "
           f"(residual = {sol.residual:.2e})")
     return 0
@@ -188,7 +188,7 @@ def cmd_control(args) -> int:
         lambdas = np.linspace(mu, mu + 9.0, args.n or 46)
     th = _thresholds(cfg)
     report = control_scan(mu, depth, lambdas, thresholds=th)
-    # a predicted level that is not located is a failed detection (exit 1)
+    # a predicted level not located as an embedded candidate is a failed detection (exit 1)
     candidate = negative_control(mu, depth, thresholds=th) if levels else None
     _write(args.out, {**report.to_json_dict(), "well_depth": depth,
                       "predicted_embedded_levels": levels,

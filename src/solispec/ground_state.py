@@ -20,9 +20,7 @@ x_far the samples are the exponential tail itself.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -38,13 +36,6 @@ X_FAR_FACTOR = 12.0      # tail anchor of the backward sweeps
 MIN_X_FAR = 6.0          # below this the far field is not asymptotic yet
 TURN_TOL = 1e-9          # sqrt(mu)*|x_e| small enough that the next translation is negligible
 MAX_SWEEPS = 6           # translated backward sweeps before giving up
-FIT_RESIDUAL_WARN = 1e-3  # far_field_fit warns above this log-fit residual
-
-
-class FarFieldFit(NamedTuple):
-    c0: float
-    rate: float
-    residual: float
 
 
 @dataclass(frozen=True)
@@ -74,16 +65,6 @@ class GroundState:
     x_replace: float
     first_integral_max: float
     ode_residual: float
-
-    @property
-    def i_origin(self) -> int:
-        return (len(self.x) - 1) // 2
-
-    def index_of(self, xv: float) -> int:
-        i = int(round((xv + self.R) / self.h))
-        if not (0 <= i < len(self.x)) or abs(self.x[i] - xv) > 1e-9 * max(1.0, self.R):
-            raise DomainError(f"x = {xv} is not a grid point of this profile")
-        return i
 
 
 def _rhs(nl: Nonlinearity, mu: float):
@@ -257,36 +238,6 @@ def solve_ground_state(nl: Nonlinearity, mu: float, R: float | None = None,
     return GroundState(mu=mu, R=R, h=h, x=x, Q=Q, Qp=Qp, shoot_value=float(Q_half[0]),
                        c0=c0, rate=rate, fit_residual=fit_res, x_replace=x_far,
                        first_integral_max=fi_max, ode_residual=ode_res)
-
-
-def far_field_fit(gs: GroundState, window: tuple[float, float],
-                  component: str = "Q") -> FarFieldFit:
-    """Log-linear fit of the decay on a window: y ~ amplitude * exp(-rate*x).
-
-    component 'Q' fits the profile itself; 'Qp' fits -Q' (whose amplitude
-    approaches sqrt(mu) * c0). Raises DomainError if the chosen samples are
-    not strictly positive, and warns when the fit residual suggests the
-    window sits too close to the origin.
-    """
-    x_lo, x_hi = window
-    if not (0 <= x_lo < x_hi <= gs.R):
-        raise DomainError(f"window {window} must satisfy 0 <= x_lo < x_hi <= R = {gs.R}")
-    mask = (gs.x >= x_lo) & (gs.x <= x_hi)
-    if mask.sum() < 10:
-        raise DomainError("window contains fewer than 10 grid points")
-    if component == "Q":
-        y = gs.Q[mask]
-    elif component == "Qp":
-        y = -gs.Qp[mask]
-    else:
-        raise DomainError(f"component must be 'Q' or 'Qp', got {component!r}")
-    if np.any(y <= 10 * np.finfo(float).eps):
-        raise DomainError("profile does not stay above rounding level on the fit window")
-    c, rate, resid = _logfit(gs.x[mask], y)
-    if resid > FIT_RESIDUAL_WARN:
-        warnings.warn(f"far-field fit residual {resid:.2e} is large; "
-                      "the window may be too close to the origin", stacklevel=2)
-    return FarFieldFit(c, rate, resid)
 
 
 def first_integral_residual(gs: GroundState, nl: Nonlinearity) -> float:

@@ -30,7 +30,6 @@ from scipy.integrate import cumulative_simpson
 
 from .errors import DomainError, HypothesisError, SingularityError
 from .ground_state import GroundState
-from .linearized_operator import _normalize_sign
 
 RATE_MARGIN = 1e-3     # required excess of the input decay rate over sqrt(mu)
 WALL_MARGIN = 5.0      # fixed_point_residual skips [R - 5, R], next to the tail closure
@@ -60,13 +59,21 @@ def _envelope_rate(x: np.ndarray, y: np.ndarray, sq: float):
     return math.log(a1 / a2) / span, a2
 
 
+def _normalize_sign(sign) -> int:
+    """+1 selects L_plus and -1 L_minus; also accepts '+'/'-'."""
+    s = {"+": 1, "-": -1, 1: 1, -1: -1}.get(sign)
+    if s is None:
+        raise DomainError("sign must be '+'/'-' or +1/-1")
+    return s
+
+
 def invert_L(sign, gs: GroundState, v: np.ndarray, x0: float = 1.0):
     """Nested-integral inverse of L_minus (sign -) or L_plus (sign +) on [x0, R].
 
     v must be sampled on the full profile grid and decay strictly faster
     than exp(-sqrt(mu)*x) near the right edge; otherwise HypothesisError.
-    sign + requires x0 > 0 because Q'(0) = 0. Returns (x, u) on the
-    subgrid [x0, R].
+    x0 must lie in [0, R), else DomainError; sign + also requires x0 > 0
+    because Q'(0) = 0. Returns (x, u) on the subgrid [x0, R].
     """
     s = _normalize_sign(sign)
     mu = gs.mu
@@ -75,8 +82,9 @@ def invert_L(sign, gs: GroundState, v: np.ndarray, x0: float = 1.0):
         raise DomainError("v must be sampled on the full profile grid")
     if s == 1 and x0 <= 0.0:
         raise SingularityError("L_plus inversion needs x0 > 0 strictly: Q'(0) = 0")
-    if x0 < 0.0:
-        raise DomainError("inversion lives on the right half-line, x0 >= 0")
+    if not 0.0 <= x0 < gs.R:
+        raise DomainError(f"inversion lives on the right half-line, 0 <= x0 < R = {gs.R}; "
+                          f"got x0 = {x0}")
 
     i0 = int(round((x0 + gs.R) / gs.h))
     xs = gs.x[i0:]

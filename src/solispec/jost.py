@@ -21,13 +21,12 @@ Writing y' = (A0 + P(x)) y with the free part A0 and the potential part P,
 it applies classical RK4 to exp(-x A0) y, so the free flow exp(s A0) enters
 in closed form and the step is exact when P = 0: a pure mode stays pure to
 rounding, whatever its rate or frequency. Every sweep runs through one
-driver, _sweep, which places the station and the node lattice, sweeps at a
-stride of k cells and, at even k, sweeps again at 2k and extrapolates the
-two. decaying_solution and integrate_from_mode take k = 1, one step per grid
+function, _sweep_decaying, which places the station and the node lattice,
+sweeps at a stride of k cells and, at even k, sweeps again at 2k and
+extrapolates the two. decaying_solution takes k = 1, one step per grid
 cell, with P at the nodes and, through the cubic on the four nodes around
-each cell, at the cell midpoints. The certificate's sweep (_sweep_decaying
-with k > 1) takes k even, so every midpoint is a node, and its solution
-lives on every 2k-th node.
+each cell, at the cell midpoints. The certificate's sweep takes k even, so
+every midpoint is a node, and its solution lives on every 2k-th node.
 The system is linear, so each step is a 4x4 matrix; all are built at once,
 each with its own spacing x[i+1] - x[i], because linspace spacings differ
 by ~1e-11 relative and a nominal h would put that error into every step.
@@ -46,7 +45,7 @@ certificate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -178,11 +177,6 @@ class JostSolution:
     mode: AsymptoticMode
     residual: float
     asym_deviation: float
-    normalization: str = "leading decaying coefficient 1 at x_asym"
-
-    def scaled(self, c: float) -> "JostSolution":
-        return replace(self, f=c * self.f, g=c * self.g, fp=c * self.fp, gp=c * self.gp,
-                       normalization=f"scaled by {c} from unit leading coefficient")
 
 
 def _free_flow(mu: float, lam: float, s: np.ndarray):
@@ -305,16 +299,18 @@ def _rel_residual(pm: PotentialMatrix, lam: float, x, f, g, fp, gp) -> float:
     return float(np.max(np.hypot(r1, r2) / scale))
 
 
-def _sweep(pm: PotentialMatrix, lam: float, mode_index: int, k: int):
-    """Backward sweep from the pure mode mode_index at the station x_asym, where the potential
-    falls below V_NEGLIGIBLE, one step per k cells (k = 1 or even). Returns the mode, the
-    lattice x (every m-th node through the origin), the station's index and the states
-    (f, g, f', g') on x[:n], x[n - 1] = x_asym. At k = 1, m = 1; at even k, m = 2k: the
-    station moves outward and the left end inward onto the lattice, the sweep runs at
-    strides k and 2k from the same data and the two are extrapolated on the lattice,
+def _sweep_decaying(pm: PotentialMatrix, lam: float, k: int = 1) -> JostSolution:
+    """Backward sweep from the pure decaying mode at the station x_asym, where the potential
+    falls below V_NEGLIGIBLE, one step per k cells (k = 1 or even), continued by that mode
+    beyond the station; valid for any |lam| >= mu. The samples sit on a lattice of every
+    m-th node through the origin. At k = 1, m = 1; at even k, m = 2k: the station moves
+    outward and the left end inward onto the lattice, the sweep runs at strides k and 2k
+    from the same data and the two are extrapolated on the lattice,
     w = (16 w_k - w_2k)/15 (step doubling of a fourth-order method; Hairer, Norsett &
-    Wanner, Solving ODEs I, II.4)."""
-    mode = asymptotic_modes(lam, pm.mu, end=+1)[mode_index]
+    Wanner, Solving ODEs I, II.4). asym_deviation is the potential the tail neglects, read
+    from the cached sup envelope.
+    """
+    mode = asymptotic_modes(lam, pm.mu, end=+1)[0]
     m = 2 * k if k > 1 else 1                   # node stride of the lattice
     last = len(pm.x) - 1
     lo = (last // 2) % m
@@ -333,20 +329,11 @@ def _sweep(pm: PotentialMatrix, lam: float, mode_index: int, k: int):
     if k > 1:
         w_k = w[:, ::2]
         w = w_k + (w_k - _sweep_states(pm, lam, y0, i_asym, lo, m)) / 15.0
-    return mode, pm.x[lo::m], i_asym, w
-
-
-def _sweep_decaying(pm: PotentialMatrix, lam: float, k: int = 1) -> JostSolution:
-    """The mode-0 sweep continued by the pure decaying mode beyond the station x_asym; valid
-    for any |lam| >= mu. At k = 1 it is integrate_from_mode(pm, lam, 0) on every node, at
-    even k the extrapolated sweep on every 2k-th node (see _sweep). asym_deviation is the
-    potential the tail neglects, read from the cached sup envelope.
-    """
-    mode, x, i_asym, w = _sweep(pm, lam, 0, k)
+    x = pm.x[lo::m]
     n = w.shape[1]
     f, g, fp, gp = np.concatenate([w, mode.eval(x[n:])], axis=1)
     return JostSolution(lam=float(lam), mu=pm.mu, x=x, f=f, g=g, fp=fp, gp=gp,
-                        x_asym=float(x[n - 1]), mode=mode,
+                        x_asym=x_asym, mode=mode,
                         residual=_rel_residual(pm, lam, x[:n], *w),
                         asym_deviation=float(pm._sup_envelope[i_asym - len(pm.x)]))
 
@@ -357,10 +344,11 @@ def decaying_solution(lam: float, gs: GroundState | None = None,
                       rtol: float | None = None) -> JostSolution:
     """The solution decaying like exp(-kappa*x) at +infinity, for lam >= mu.
 
-    Energies lam <= -mu are obtained from the positive branch through the
-    component swap (see certificate.reflect_spectrum). Pass either a ground
-    state with its nonlinearity or a prebuilt PotentialMatrix. rtol is
-    accepted for callers of the former adaptive sweep and has no effect.
+    Energies lam <= -mu follow from the positive branch through the component
+    swap S(f, g) = (g, f), S H S = -H (certificate.reflect_spectrum maps their
+    records). Pass either a ground state with its nonlinearity or a prebuilt
+    PotentialMatrix. rtol is accepted for callers of the former adaptive
+    sweep and has no effect.
     """
     pm = potential if potential is not None else potential_V(gs, nl)
     if lam < pm.mu * (1.0 - THRESHOLD_REL):
@@ -368,35 +356,6 @@ def decaying_solution(lam: float, gs: GroundState | None = None,
             f"decaying_solution needs lambda >= mu = {pm.mu}; for the negative branch "
             "reflect the positive-energy solution")
     return _sweep_decaying(pm, lam)
-
-
-def integrate_from_mode(pm: PotentialMatrix, lam: float, mode_index: int) -> JostSolution:
-    """Diagnostic: integrate backward from pure mode data at the station x_asym.
-
-    Mode 0 is the decaying solution on [-R, x_asym]. Useful for building
-    independent solutions whose pairwise bilinear invariant (see wronskian)
-    gates integration quality.
-    """
-    mode, x, _, w = _sweep(pm, lam, mode_index, 1)
-    xs = x[:w.shape[1]]
-    return JostSolution(lam=float(lam), mu=pm.mu, x=xs, f=w[0], g=w[1], fp=w[2], gp=w[3],
-                        x_asym=float(xs[-1]), mode=mode,
-                        residual=_rel_residual(pm, lam, xs, *w), asym_deviation=float("nan"),
-                        normalization=f"pure mode {mode.kind} seed at x_asym")
-
-
-def wronskian(s1: JostSolution, s2: JostSolution) -> np.ndarray:
-    """Bilinear invariant f1'f2 - f1f2' + g1'g2 - g1g2' on the common grid.
-
-    Constant in x for exact solutions of the same system; drift measures
-    integration error.
-    """
-    n = min(len(s1.x), len(s2.x))
-    a = {k: getattr(s1, k)[-n:] for k in ("x", "f", "g", "fp", "gp")}
-    b = {k: getattr(s2, k)[-n:] for k in ("x", "f", "g", "fp", "gp")}
-    if not np.allclose(a["x"], b["x"]):
-        raise DomainError("solutions do not share a common grid segment")
-    return (a["fp"] * b["f"] - a["f"] * b["fp"]) + (a["gp"] * b["g"] - a["g"] * b["gp"])
 
 
 @dataclass(frozen=True)

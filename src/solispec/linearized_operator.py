@@ -26,7 +26,7 @@ eigenvalues lambda^2 of L_minus L_plus (Weinstein, SIAM J. Math. Anal. 16,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -113,10 +113,6 @@ class GridField2:
         if np.shape(self.f) != np.shape(self.g):
             raise GridMismatchError("components f and g must share one grid")
 
-    def swap(self) -> "GridField2":
-        """The conjugation S with S H S = -H."""
-        return GridField2(self.g, self.f)
-
 
 @dataclass(frozen=True)
 class EigenPair:
@@ -182,35 +178,6 @@ def apply_H_potential(pm: PotentialMatrix, w: GridField2) -> GridField2:
     out_f = _second_diff(f, h) - pm.mu * f + pm.a * f + pm.b * g
     out_g = -_second_diff(g, h) + pm.mu * g - pm.b * f - pm.a * g
     return GridField2(out_f, out_g)
-
-
-def _normalize_sign(sign) -> int:
-    """+1 selects L_plus and -1 L_minus; also accepts '+'/'-'."""
-    s = {"+": 1, "-": -1, 1: 1, -1: -1}.get(sign)
-    if s is None:
-        raise DomainError("sign must be '+'/'-' or +1/-1")
-    return s
-
-
-def apply_L_potential(pm: PotentialMatrix, sign, f: np.ndarray) -> np.ndarray:
-    """Scalar action: sign -1 (or '-') gives L_minus, sign +1 (or '+') gives L_plus."""
-    _check_grid(pm, f)
-    pot = (pm.a + pm.b) if _normalize_sign(sign) == 1 else (pm.a - pm.b)
-    return -_second_diff(f, pm.h) + pm.mu * f - pot * f
-
-
-def assemble_matrix(pm: PotentialMatrix) -> sp.csr_matrix:
-    """Sparse 2n x 2n matrix of H with Dirichlet walls."""
-    n = len(pm.x)
-    h2 = pm.h ** 2
-    lap = sp.diags([np.ones(n - 1), -2.0 * np.ones(n), np.ones(n - 1)],
-                   offsets=[-1, 0, 1], format="csr") / h2
-    A = sp.diags(pm.a)
-    B = sp.diags(pm.b)
-    I = sp.identity(n, format="csr")
-    top = sp.hstack([lap - pm.mu * I + A, B])
-    bot = sp.hstack([-B, -lap + pm.mu * I - A])
-    return sp.vstack([top, bot]).tocsr()
 
 
 def _real_eigvec_candidates(lam, vec):

@@ -7,6 +7,7 @@ import solispec as sp
 import solispec.certificate as sp_cert
 from solispec.certificate import _certify_potential, _score_solution
 from solispec.jost import _sweep_decaying
+from oracles import reflect, scaled
 
 STRIDE_FAMILIES = (sp.Nonlinearity.power(1.0), sp.Nonlinearity.saturable(0.5),
                    sp.Nonlinearity.cubic_quintic(0.1))
@@ -50,7 +51,7 @@ def test_reflected_record_matches_direct(gs_cubic, nl_cubic):
 def test_reflect_solution_solves_mirrored_problem(pm_cubic, jost_cubic_2):
     """S maps solutions at lambda to solutions at -lambda, residual checked."""
     from solispec.jost import _rel_residual
-    refl = sp.reflect_spectrum(jost_cubic_2)
+    refl = reflect(jost_cubic_2)
     res = _rel_residual(pm_cubic, refl.lam, refl.x, refl.f, refl.g, refl.fp, refl.gp)
     assert res <= 1e-8
 
@@ -65,7 +66,7 @@ def test_negative_record_is_reflected_positive_record(gs_cubic, nl_cubic, lam):
 
 
 def test_double_reflection_identity(jost_cubic_2, gs_cubic, nl_cubic):
-    twice = sp.reflect_spectrum(sp.reflect_spectrum(jost_cubic_2))
+    twice = reflect(reflect(jost_cubic_2))
     assert twice.lam == jost_cubic_2.lam
     assert np.array_equal(twice.f, jost_cubic_2.f)
     assert np.array_equal(twice.g, jost_cubic_2.g)
@@ -81,7 +82,7 @@ def test_scale_invariance_of_scoring(pm_cubic):
     sol = _sweep_decaying(pm_cubic, 2.0)
     base = _score_solution(pm_cubic, sol, th, method_name="reflect")
     for c in (-3.7, 0.01, 250.0):
-        rec = _score_solution(pm_cubic, sol.scaled(c), th, method_name="reflect")
+        rec = _score_solution(pm_cubic, scaled(sol, c), th, method_name="reflect")
         assert rec.verdict == base.verdict
         assert (rec.v0 * rec.v0p < 0) == (base.v0 * base.v0p < 0)
         assert rec.v0_norm == pytest.approx(base.v0_norm, rel=1e-12)
@@ -306,6 +307,13 @@ def test_negative_control_dip_is_localized():
     assert bracket[0] <= 3.0 <= bracket[1]
     far = [r for r in rep.records if abs(r.lam - 3.0) > 0.3]
     assert all(r.mismatch >= 1e-3 for r in far)
+
+
+def test_negative_control_inconclusive_root_raises():
+    """At depth 6 the root's v0p_norm (about 7e-15) fails theta_cert while its mismatch
+    (about 2e-9) passes theta_mismatch = 1e-12: an inconclusive root is a missed detection."""
+    with pytest.raises(sp.HypothesisError, match="inconclusive"):
+        sp.negative_control(1.0, 6.0, sp.Thresholds(theta_mismatch=1e-12))
 
 
 def test_shallow_well_no_candidate():

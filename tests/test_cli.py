@@ -222,6 +222,16 @@ def test_control_failed_detection_exits_1(tmp_path, monkeypatch):
     assert not os.path.exists(out)
 
 
+def test_control_inconclusive_root_exits_1(tmp_path):
+    """A sign change located with a verdict other than embedded-candidate fails the run."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"tolerances": {"theta_mismatch": 1e-12}}))
+    out = str(tmp_path / "control.json")
+    assert main(["control", "--config", str(path), "--depth", "6.0", "--n", "1",
+                 "--out", out]) == 1
+    assert not os.path.exists(out)
+
+
 def test_control_mu_override_ignores_scan_block(tmp_path):
     """The default scan block [1, 10] does not fit mu = 2, but control does not read it."""
     out = str(tmp_path / "control.json")

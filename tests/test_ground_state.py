@@ -40,7 +40,7 @@ def test_cubic_scaling_symmetry(nl_cubic):
 
 def test_profile_invariants(gs_cubic):
     gs = gs_cubic
-    n = gs.i_origin
+    n = (len(gs.x) - 1) // 2
     assert np.all(gs.Q > 0)
     assert np.max(np.abs(gs.Q - gs.Q[::-1])) == 0.0          # even by construction
     assert gs.Qp[n] == 0.0
@@ -62,38 +62,6 @@ def test_first_integral_of_exact_closed_form(gs_cubic, nl_cubic):
 
 def test_first_integral_of_zero_profile(nl_cubic):
     assert np.max(np.abs(np.zeros(5) ** 2 - np.zeros(5) + nl_cubic.G(np.zeros(5)))) == 0.0
-
-
-def test_far_field_fit_cubic_window(gs_cubic):
-    fit = sp.far_field_fit(gs_cubic, (8.0, 14.0))
-    assert abs(fit.rate - 1.0) <= 1e-4
-    assert abs(fit.c0 - 2.0 * np.sqrt(2.0)) <= 1e-3
-
-
-def test_far_field_fit_derivative_component(gs_cubic):
-    """-Q' ~ sqrt(mu)*c0*exp(-sqrt(mu) x): same rate, amplitude scaled by sqrt(mu)."""
-    fit = sp.far_field_fit(gs_cubic, (8.0, 14.0), component="Qp")
-    assert abs(fit.rate - 1.0) <= 1e-4
-    assert abs(fit.c0 - 2.0 * np.sqrt(2.0)) <= 1e-3
-
-
-def test_far_field_fit_recovers_pure_exponential(gs_cubic):
-    """Feeding exactly exponential samples recovers (c, rate) to rounding."""
-    from dataclasses import replace
-    c, rate = 0.731, np.sqrt(gs_cubic.mu)
-    fake = replace(gs_cubic, Q=c * np.exp(-rate * np.abs(gs_cubic.x)),
-                   Qp=-rate * c * np.exp(-rate * np.abs(gs_cubic.x)))
-    fit = sp.far_field_fit(fake, (5.0, 15.0))
-    assert fit.c0 == pytest.approx(c, rel=1e-12)
-    assert fit.rate == pytest.approx(rate, rel=1e-12)
-    assert fit.residual <= 1e-12
-
-
-def test_far_field_fit_rejects_nonpositive_window(gs_cubic):
-    from dataclasses import replace
-    bad = replace(gs_cubic, Q=gs_cubic.Q - gs_cubic.Q[gs_cubic.index_of(10.0)])
-    with pytest.raises(sp.DomainError):
-        sp.far_field_fit(bad, (8.0, 14.0))
 
 
 def test_grid_refinement_second_order(nl_cubic):

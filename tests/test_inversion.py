@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import solispec as sp
+from oracles import apply_L
 
 
 def test_zero_input_gives_zero(gs_cubic):
@@ -13,7 +14,7 @@ def test_zero_input_gives_zero(gs_cubic):
 def test_round_trip_exponential(gs_cubic, nl_cubic, sign):
     """invert_L(L w) recovers w = exp(-2x) on [1, R-5] to 1e-6."""
     w = np.exp(-2.0 * gs_cubic.x)
-    v = sp.apply_L_potential(sp.potential_V(gs_cubic, nl_cubic), sign, w)
+    v = apply_L(sp.potential_V(gs_cubic, nl_cubic), sign, w)
     xs, u = sp.invert_L(sign, gs_cubic, v, x0=1.0)
     keep = xs <= gs_cubic.R - 5.0
     assert np.max(np.abs(u - np.exp(-2.0 * xs))[keep]) <= 1e-6
@@ -28,7 +29,7 @@ def test_forward_check(gs_cubic, nl_cubic):
     full = np.zeros_like(x)
     i0 = int(round((1.0 + gs_cubic.R) / gs_cubic.h))
     full[i0:] = u
-    lv = sp.apply_L_potential(sp.potential_V(gs_cubic, nl_cubic), "-", full)
+    lv = apply_L(sp.potential_V(gs_cubic, nl_cubic), "-", full)
     inner = (x >= 2.0) & (x <= gs_cubic.R - 5.0)
     assert np.max(np.abs(lv - v)[inner]) <= 5e-6
 
@@ -63,6 +64,15 @@ def test_slow_decay_rejected(gs_cubic):
 def test_lplus_at_origin_rejected(gs_cubic):
     with pytest.raises(sp.SingularityError):
         sp.invert_L("+", gs_cubic, np.exp(-2.0 * gs_cubic.x), x0=0.0)
+
+
+def test_x0_off_the_half_line_rejected(gs_cubic):
+    """x0 beyond the wall or not a number is refused before any grid index is formed."""
+    v = np.exp(-2.0 * gs_cubic.x)
+    for x0 in (gs_cubic.R + 5.0, gs_cubic.R, float("nan"), float("inf")):
+        for sign in ("-", "+"):
+            with pytest.raises(sp.DomainError, match="right half-line"):
+                sp.invert_L(sign, gs_cubic, v, x0=x0)
 
 
 @pytest.mark.parametrize("lam", [1.5, 2.0, 5.0])

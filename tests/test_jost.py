@@ -6,6 +6,7 @@ from scipy.integrate import solve_ivp
 
 import solispec as sp
 import solispec.jost as sp_jost
+from oracles import sweep_from_mode, wronskian
 from solispec.certificate import _certify_potential
 
 
@@ -95,8 +96,8 @@ def test_expand_linearity(pm_cubic):
     defined up to the fit misfit.
     """
     lam = 2.0
-    s1 = sp.integrate_from_mode(pm_cubic, lam, 0)
-    s2 = sp.integrate_from_mode(pm_cubic, lam, 2)
+    s1 = sweep_from_mode(pm_cubic, lam, 0)
+    s2 = sweep_from_mode(pm_cubic, lam, 2)
     alpha, beta = 1.7, -0.4
     combo = sp.JostSolution(
         lam=lam, mu=s1.mu, x=s1.x,
@@ -133,9 +134,9 @@ def test_wronskian_constant_along_sweep(pm_cubic):
     route, which grows monotonically leftward.
     """
     lam = 2.0
-    s1 = sp.integrate_from_mode(pm_cubic, lam, 0)
-    s2 = sp.integrate_from_mode(pm_cubic, lam, 2)
-    W = sp.wronskian(s1, s2)
+    s1 = sweep_from_mode(pm_cubic, lam, 0)
+    s2 = sweep_from_mode(pm_cubic, lam, 2)
+    W = wronskian(s1, s2)
     scale = (np.abs(s1.fp * s2.f) + np.abs(s1.f * s2.fp)
              + np.abs(s1.gp * s2.g) + np.abs(s1.g * s2.gp))
     W_start = W[-1]                       # x_asym end, where the sweep begins
@@ -365,19 +366,6 @@ def test_decaying_solution_accepts_rtol(pm_cubic):
     for key in ("f", "g", "fp", "gp"):
         assert np.array_equal(getattr(sol, key), getattr(plain, key))
     assert sol.residual <= 1e-8
-
-
-@pytest.mark.parametrize("lam", [1.0, 2.0, 10.0, -3.0])
-def test_decaying_sweep_is_mode_zero_sweep(pm_cubic, lam):
-    """The decaying solution is integrate_from_mode(..., 0) on [-R, x_asym] bit for bit,
-    and its residual covers that swept part only."""
-    dec = sp_jost._sweep_decaying(pm_cubic, lam)
-    diag = sp.integrate_from_mode(pm_cubic, lam, 0)
-    n = len(diag.x)
-    assert dec.x_asym == diag.x_asym == diag.x[-1]
-    for key in ("f", "g", "fp", "gp"):
-        assert np.array_equal(getattr(dec, key)[:n], getattr(diag, key)), key
-    assert dec.residual == diag.residual
 
 
 def test_asym_deviation_is_neglected_potential(pm_cubic):
