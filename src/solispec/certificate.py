@@ -181,17 +181,21 @@ def _certify_potential(pm: PotentialMatrix, lam: float,
     2 k h kappa <= SWEEP_KH_MAX (kappa = sqrt(mu + |lambda|)) whose 2k-th nodes hold the
     left end of |x| <= NEAR / sqrt(mu), else 1. The growing mode puts sup_mid there, so
     on other nodes the mismatch would move by a few per cent; on the default grids,
-    h = 1e-3/sqrt(mu), that end is node 5000 from the origin, on every 2k-th node.
+    h = 1e-3/sqrt(mu), that end is node 5000 from the origin, on every 2k-th node. The
+    sweep stops at the lattice node at or left of the mode-fit window's left edge, not at
+    -R: no witness reads a sample left of that window.
     """
     th = thresholds or Thresholds()
     if lam < 0 and method != "direct":
         return reflect_spectrum(_certify_potential(pm, -lam, th))
-    # a non-finite lam passes no test, so k = 1 and the sweep's finiteness check rejects it
+    # a non-finite lam passes no test, so k = 1 and default_window's finiteness check
+    # rejects it
     kappa = math.sqrt(pm.mu + abs(lam))
     near = (len(pm.x) - 1) // 2 - int(np.searchsorted(pm.x, -NEAR / math.sqrt(pm.mu)))
     k = next((k for k in SWEEP_STRIDES
               if 2 * k * pm.h * kappa <= SWEEP_KH_MAX and near % (2 * k) == 0), 1)
-    return _score_solution(pm, _sweep_decaying(pm, lam, k), th,
+    x_end = default_window(pm, lam, end=-1)[0]
+    return _score_solution(pm, _sweep_decaying(pm, lam, k, x_end), th,
                            "direct" if lam < 0 else "reflect")
 
 

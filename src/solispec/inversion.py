@@ -33,6 +33,7 @@ from .ground_state import GroundState
 
 RATE_MARGIN = 1e-3     # required excess of the input decay rate over sqrt(mu)
 WALL_MARGIN = 5.0      # fixed_point_residual skips [R - 5, R], next to the tail closure
+RATE_WINDOW = 3.0      # width, in 1/sqrt(mu), of each of the two decay-check windows at R
 
 
 def _reverse_cumsimp(y: np.ndarray, h: float) -> np.ndarray:
@@ -47,7 +48,7 @@ def _envelope_rate(x: np.ndarray, y: np.ndarray, sq: float):
     Robust to oscillatory signs (uses mean |y| over two windows). Returns
     (rate, edge_magnitude); rate is +inf when y has effectively vanished.
     """
-    span = 3.0 / sq
+    span = RATE_WINDOW / sq
     hi = x[-1]
     m1 = (x >= hi - 2 * span) & (x < hi - span)
     m2 = (x >= hi - span)
@@ -71,8 +72,9 @@ def invert_L(sign, gs: GroundState, v: np.ndarray, x0: float = 1.0):
     """Nested-integral inverse of L_minus (sign -) or L_plus (sign +) on [x0, R].
 
     v must be sampled on the full profile grid and decay strictly faster
-    than exp(-sqrt(mu)*x) near the right edge; otherwise HypothesisError.
-    x0 must lie in [0, R), else DomainError; sign + also requires x0 > 0
+    than exp(-sqrt(mu)*x) near the right edge; otherwise HypothesisError. That check
+    reads the two windows of width 3/sqrt(mu) at R, so x0 must lie in
+    [0, R - 6/sqrt(mu)], else DomainError; sign + also requires x0 > 0
     because Q'(0) = 0. Returns (x, u) on the subgrid [x0, R].
     """
     s = _normalize_sign(sign)
@@ -82,9 +84,10 @@ def invert_L(sign, gs: GroundState, v: np.ndarray, x0: float = 1.0):
         raise DomainError("v must be sampled on the full profile grid")
     if s == 1 and x0 <= 0.0:
         raise SingularityError("L_plus inversion needs x0 > 0 strictly: Q'(0) = 0")
-    if not 0.0 <= x0 < gs.R:
-        raise DomainError(f"inversion lives on the right half-line, 0 <= x0 < R = {gs.R}; "
-                          f"got x0 = {x0}")
+    x0_max = gs.R - 2.0 * RATE_WINDOW / sq
+    if not 0.0 <= x0 <= x0_max:
+        raise DomainError(f"inversion lives on the right half-line short of its decay check, "
+                          f"0 <= x0 <= R - 6/sqrt(mu) = {x0_max:g}; got x0 = {x0}")
 
     i0 = int(round((x0 + gs.R) / gs.h))
     xs = gs.x[i0:]

@@ -26,7 +26,8 @@ sweeps at a stride of k cells and, at even k, sweeps again at 2k and
 extrapolates the two. decaying_solution takes k = 1, one step per grid
 cell, with P at the nodes and, through the cubic on the four nodes around
 each cell, at the cell midpoints. The certificate's sweep takes k even, so
-every midpoint is a node, and its solution lives on every 2k-th node.
+every midpoint is a node, and its solution lives on every 2k-th node; it
+stops at its mode-fit window's left edge instead of at -R.
 The system is linear, so each step is a 4x4 matrix; all are built at once,
 each with its own spacing x[i+1] - x[i], because linspace spacings differ
 by ~1e-11 relative and a nominal h would put that error into every step.
@@ -59,6 +60,7 @@ CERT_SWEEP_RTOL = 1e-12     # decaying_solution(rtol=...) accepts it; the sweep 
 PROPAGATOR_CHUNK = 4096     # steps whose propagators are built together
 THRESHOLD_REL = 1e-12       # |{|lambda|} - mu| below this counts as the threshold case
 COND_LIMIT = 1e8            # mode fits conditioned worse than this raise
+FIT_GROWTH_MAX = 340.0      # largest kappa |x| at a cut sweep's end; fit squares overflow near 354
 
 _STENCIL6 = np.array([1.0 / 90, -3.0 / 20, 3.0 / 2, -49.0 / 18, 3.0 / 2, -3.0 / 20, 1.0 / 90])
 
@@ -161,10 +163,10 @@ def asymptotic_modes(lam: float, mu: float, end: int = +1) -> tuple[AsymptoticMo
 @dataclass(frozen=True)
 class JostSolution:
     """Samples of a solution of (H - lambda) w = 0 with declared +inf behavior, at x: every
-    grid node, or every 2k-th node for a certificate sweep at stride k. residual is the
-    stencil residual of the swept part, the nodes of x in [-R, x_asym] but the three at
-    each end; asym_deviation is the potential the pure-mode tail neglects, the largest
-    max(|a|, |b|) at |t| >= x_asym."""
+    grid node from -R, or for a certificate sweep at stride k every 2k-th node from its
+    fit window's left edge. residual is the stencil residual of the swept part, the nodes
+    of x in [x[0], x_asym] but the three at each end; asym_deviation is the potential the
+    pure-mode tail neglects, the largest max(|a|, |b|) at |t| >= x_asym."""
 
     lam: float
     mu: float
@@ -299,7 +301,8 @@ def _rel_residual(pm: PotentialMatrix, lam: float, x, f, g, fp, gp) -> float:
     return float(np.max(np.hypot(r1, r2) / scale))
 
 
-def _sweep_decaying(pm: PotentialMatrix, lam: float, k: int = 1) -> JostSolution:
+def _sweep_decaying(pm: PotentialMatrix, lam: float, k: int = 1,
+                    x_end: float | None = None) -> JostSolution:
     """Backward sweep from the pure decaying mode at the station x_asym, where the potential
     falls below V_NEGLIGIBLE, one step per k cells (k = 1 or even), continued by that mode
     beyond the station; valid for any |lam| >= mu. The samples sit on a lattice of every
@@ -309,11 +312,18 @@ def _sweep_decaying(pm: PotentialMatrix, lam: float, k: int = 1) -> JostSolution
     w = (16 w_k - w_2k)/15 (step doubling of a fourth-order method; Hairer, Norsett &
     Wanner, Solving ODEs I, II.4). asym_deviation is the potential the tail neglects, read
     from the cached sup envelope.
+
+    The sweep ends at -R, or with x_end at the lattice node at or left of x_end: the
+    certificate passes its fit window's left edge, so no sample left of the window is
+    swept. The samples grow like exp(kappa |x|) toward that end and the fit squares them,
+    so a cut sweep whose end has kappa |x| > FIT_GROWTH_MAX is refused up front.
     """
     mode = asymptotic_modes(lam, pm.mu, end=+1)[0]
     m = 2 * k if k > 1 else 1                   # node stride of the lattice
     last = len(pm.x) - 1
     lo = (last // 2) % m
+    if x_end is not None:
+        lo += m * max(0, (int(np.searchsorted(pm.x, x_end, side="right")) - 1 - lo) // m)
     station = int(np.searchsorted(pm.x, pm.negligible_from(V_NEGLIGIBLE) - 0.5 * pm.h))
     # the station outward onto the lattice, unless that leaves the grid: then the last
     # lattice node, at most 2k - 1 cells inward
@@ -324,6 +334,10 @@ def _sweep_decaying(pm: PotentialMatrix, lam: float, k: int = 1) -> JostSolution
         raise DomainError(
             f"kappa * x_asym = {kappa * x_asym:.0f} underflows the tail normalization; "
             "lambda is too large for this grid")
+    if x_end is not None and -kappa * pm.x[lo] > FIT_GROWTH_MAX:
+        raise DomainError(
+            f"kappa * |x| = {-kappa * pm.x[lo]:.0f} at the sweep end overflows the mode "
+            "fit's squares; lambda is too large for this grid")
     y0 = np.array(mode.eval(x_asym))
     w = _sweep_states(pm, lam, y0, i_asym, lo, k)
     if k > 1:

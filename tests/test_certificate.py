@@ -118,11 +118,47 @@ def _record_sweeps(monkeypatch) -> list:
     """The (stride, solution) of every certificate sweep from here on."""
     swept = []
 
-    def spy(pm, lam, k=1):
-        swept.append((k, _sweep_decaying(pm, lam, k)))
+    def spy(pm, lam, k=1, x_end=None):
+        swept.append((k, _sweep_decaying(pm, lam, k, x_end)))
         return swept[-1][1]
     monkeypatch.setattr(sp_cert, "_sweep_decaying", spy)
     return swept
+
+
+@pytest.mark.parametrize("case", [*STRIDE_FAMILIES, "well"],
+                         ids=lambda c: c if isinstance(c, str) else c.family)
+def test_certificate_sweep_stops_at_fit_window(case, gs_cubic, nl_cubic, monkeypatch):
+    """The certificate's sweep starts at the lattice node at or left of its fit window's
+    left edge, not at -R, and its record is the full-span sweep's at the same stride: the
+    same verdict and flags, the witnesses within 1e-12 relative. At the depth-6 well's
+    embedded eigenvalue lambda = 3, v0p, v0p_norm, mismatch and c_grow_signed are rounding
+    (about 1e-15 to 1e-9) on both sweeps, so there they are only held below 1e-8."""
+    if case == "well":
+        pm, lams = sp.decoupled_well_potential(1.0, 6.0), [3.0]
+    else:
+        gs = gs_cubic if case == nl_cubic else sp.solve_ground_state(case, 1.0)
+        pm, lams = sp.potential_V(gs, case), [1.0, 3.0, 7.3, 10.0, 30.0, -3.0]
+    th = sp.Thresholds()
+    for lam in lams:
+        method = "direct" if lam < 0 else "reflect"
+        swept = _record_sweeps(monkeypatch)
+        rec = _certify_potential(pm, lam, th, method)
+        ((k, sol),) = swept
+        step = (2 * k if k > 1 else 1) * pm.h
+        edge = sp.default_window(pm, lam, end=-1)[0]
+        assert edge - step < sol.x[0] <= edge, (lam, sol.x[0], edge)
+        assert sol.x[0] / step == pytest.approx(round(sol.x[0] / step), abs=1e-6)
+        ref = _score_solution(pm, _sweep_decaying(pm, lam, k), th, method)
+        assert ref.verdict == rec.verdict, lam
+        for key in ("u_positive", "v_signed", "at_threshold", "method"):
+            assert getattr(rec, key) == getattr(ref, key), (lam, key)
+        noise = ("v0p", "v0p_norm", "mismatch", "c_grow_signed") if case == "well" else ()
+        for key in ("v0", "v0p", "v0_norm", "v0p_norm", "mismatch", "c_grow_signed"):
+            got, want = getattr(rec, key), getattr(ref, key)
+            if key in noise:
+                assert max(abs(got), abs(want)) < 1e-8, (lam, key, got, want)
+            else:
+                assert abs(got - want) <= 1e-12 * abs(want), (lam, key, got, want)
 
 
 @pytest.mark.parametrize("lam", [1.0, 2.0, 10.0])

@@ -75,6 +75,19 @@ def test_x0_off_the_half_line_rejected(gs_cubic):
                 sp.invert_L(sign, gs_cubic, v, x0=x0)
 
 
+def test_x0_past_the_decay_check_rejected(nl_cubic):
+    """The decay check reads the two windows of width 3/sqrt(mu) at R; an x0 past
+    R - 6/sqrt(mu) would empty the first and skip the check, so it is refused, while a
+    slow input from x0 = 1 still fails the check (R = 20, v = exp(-x/2))."""
+    gs = sp.solve_ground_state(nl_cubic, 1.0, R=20.0, h=2e-3)
+    v = np.exp(-0.5 * gs.x)
+    with pytest.raises(sp.HypothesisError):
+        sp.invert_L("-", gs, v, x0=1.0)
+    for x0 in (17.0, 19.99):
+        with pytest.raises(sp.DomainError, match="decay check"):
+            sp.invert_L("-", gs, v, x0=x0)
+
+
 @pytest.mark.parametrize("lam", [1.5, 2.0, 5.0])
 def test_fixed_point_identities_for_decaying_solution(gs_cubic, nl_cubic, lam):
     sol = sp.decaying_solution(lam, gs_cubic, nl_cubic)

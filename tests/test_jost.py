@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -236,6 +237,45 @@ def test_kaup_exact_decaying_solution(gs_cubic, nl_cubic, lam):
         assert abs(got - exact) <= 1e-10 * abs(exact), (got, exact)
 
 
+def _kaup_v0_v0p(lam):
+    kappa = math.sqrt(1.0 + lam)
+    N = (kappa + 1.0) ** 2
+    return (kappa**2 + 1.0) / N, -kappa * lam / N
+
+
+@pytest.mark.parametrize("lam", [300.0, 600.0])
+def test_kaup_certificate_at_high_energy(gs_cubic, nl_cubic, lam):
+    """The certificate's sweep stops at its fit window, so it reaches lambda = 600, where
+    a sweep to -R overflows; there v0 and v0' still match Kaup's closed form."""
+    v0, v0p = _kaup_v0_v0p(lam)
+    rec = sp.certify_lambda(gs_cubic, nl_cubic, lam)
+    assert rec.verdict == "no-embedded-eigenvalue"
+    assert abs(rec.v0 - v0) <= 1e-10 * abs(v0)
+    assert abs(rec.v0p - v0p) <= 1e-10 * abs(v0p)
+
+
+def test_large_lambda_certifies_or_refuses(gs_cubic, nl_cubic):
+    """From lambda = 600 to 1200 every record on the default cubic grid either certifies
+    and matches Kaup's v0 and v0', or is inconclusive because the sweep was refused with
+    a DomainError before anything could overflow; no RuntimeWarning is raised."""
+    lams = np.arange(600.0, 1200.0 + 1.0, 50.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        records = sp.scan_embedded(gs_cubic, nl_cubic, lams).records
+    refused = []
+    for rec in records:
+        if rec.error is None:
+            v0, v0p = _kaup_v0_v0p(rec.lam)
+            assert rec.verdict == "no-embedded-eigenvalue", rec.lam
+            assert abs(rec.v0 - v0) <= 1e-10 * abs(v0), rec.lam
+            assert abs(rec.v0p - v0p) <= 1e-10 * abs(v0p), rec.lam
+        else:
+            assert rec.verdict == "inconclusive" and rec.error.startswith("DomainError")
+            refused.append(rec.lam)
+    assert refused and refused == [lam for lam in lams if lam >= refused[0]]
+    assert records[0].error is None
+
+
 @pytest.mark.parametrize("lam,method", [(1.0, "reflect"), (2.0, "reflect"),
                                         (10.0, "reflect"), (-3.0, "direct")])
 def test_sweep_matches_dop853_reference(pm_cubic, monkeypatch, lam, method):
@@ -352,10 +392,12 @@ def test_residual_reads_potential_at_nodes(pm_cubic, jost_cubic_2):
 
 def test_sweep_overflow_is_inconclusive(gs_cubic, nl_cubic):
     """A sweep whose growth overflows double precision fails loudly instead of
-    scoring inf/nan samples, so the scan records it as inconclusive."""
+    scoring inf/nan samples, so the scan records it as inconclusive. The full sweep
+    overflows at lambda = 600; the certificate's sweep stops at its fit window, so its
+    energy is 1200, where kappa * x_asym = 607 is refused up front."""
     with pytest.raises(sp.DomainError):
         sp.decaying_solution(600.0, gs_cubic, nl_cubic)
-    (rec,) = sp.scan_embedded(gs_cubic, nl_cubic, [600.0]).records
+    (rec,) = sp.scan_embedded(gs_cubic, nl_cubic, [1200.0]).records
     assert rec.verdict == "inconclusive" and rec.error.startswith("DomainError")
 
 
